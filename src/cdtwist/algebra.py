@@ -28,11 +28,12 @@ idempotently from deterministic inputs.
 from __future__ import annotations
 
 import numbers
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .twist import split_twist, twist
+from .twist import split_twist, twist, twist_matrix
 
 __all__ = [
     "AlgebraSignature",
@@ -264,8 +265,8 @@ def basis_mul(A: int, B: int, signature: AlgebraSignature) -> SignedIndex:
     return SignedIndex(-1 if exponent else 1, A ^ B)
 
 
-# Twist exponent tables for the bilinear engine, one bytes-row per first
-# index. Cached only for small levels; 4**8 entries = 64 KiB per table.
+# Block-doubling twist exponent tables for the bilinear engine, one bytes-row
+# per first index. Cached only for small levels; 4**8 entries = 64 KiB each.
 _TWIST_TABLE_CACHE_MAX_LEVEL = 8
 _twist_tables: dict[tuple[int, bool], list[bytes]] = {}
 
@@ -275,10 +276,15 @@ def _twist_table(signature: AlgebraSignature) -> list[bytes]:
     table = _twist_tables.get(key)
     if table is None:
         n = signature.level
-        dim = 1 << n
+        matrix = twist_matrix(n, split=not signature.is_standard)
         fn = twist if signature.is_standard else split_twist
-        table = [bytes(fn(A, B, n) for B in range(dim)) for A in range(dim)]
-        _twist_tables[key] = table
+        rng = random.Random(n)
+        for A, B in ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(256)):
+            if matrix[A, B] != fn(A, B, n):
+                raise InvariantViolation(
+                    f"block-doubling table != closed form at ({A}, {B}) for {signature}"
+                )
+        table = _twist_tables[key] = [row.tobytes() for row in matrix]
     return table
 
 
@@ -293,32 +299,19 @@ def mul_twist(x: Element, y: Element) -> Element:
     if not sig.has_closed_form:
         raise ValueError(f"no closed-form twist for this signature: {sig}")
     n = sig.level
+    table = _twist_table(sig) if n <= _TWIST_TABLE_CACHE_MAX_LEVEL else None
+    fn = twist if sig.is_standard else split_twist
+    ys = [(B, yb) for B, yb in enumerate(y.coeffs) if yb]
     out = [0] * sig.dimension
-    if n <= _TWIST_TABLE_CACHE_MAX_LEVEL:
-        table = _twist_table(sig)
-        for A, xa in enumerate(x.coeffs):
-            if not xa:
-                continue
-            row = table[A]
-            for B, yb in enumerate(y.coeffs):
-                if not yb:
-                    continue
-                if row[B]:
-                    out[A ^ B] -= xa * yb
-                else:
-                    out[A ^ B] += xa * yb
-    else:
-        fn = twist if sig.is_standard else split_twist
-        for A, xa in enumerate(x.coeffs):
-            if not xa:
-                continue
-            for B, yb in enumerate(y.coeffs):
-                if not yb:
-                    continue
-                if fn(A, B, n):
-                    out[A ^ B] -= xa * yb
-                else:
-                    out[A ^ B] += xa * yb
+    for A, xa in enumerate(x.coeffs):
+        if not xa:
+            continue
+        row = table[A] if table else {B: fn(A, B, n) for B, _ in ys}
+        for B, yb in ys:
+            if row[B]:
+                out[A ^ B] -= xa * yb
+            else:
+                out[A ^ B] += xa * yb
     return Element(sig, out)
 
 

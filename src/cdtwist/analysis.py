@@ -44,6 +44,7 @@ from .twist import (
     split_twist_recursive,
     twist,
     twist_batch,
+    twist_matrix,
     twist_recursive,
 )
 
@@ -142,33 +143,14 @@ class MultiplicationTable:
         return self.signature.dimension
 
 
-def _exponent_matrix(signature: AlgebraSignature) -> np.ndarray:
-    """Full 2**n x 2**n twist-exponent matrix, built in row chunks.
-
-    Chunking keeps the int64 temporaries of the batch evaluation bounded
-    (~32 MiB) even at the level-12 cap.
-    """
-    n = signature.level
-    dim = signature.dimension
-    fn = twist_batch if signature.is_standard else split_twist_batch
-    out = np.empty((dim, dim), dtype=np.uint8)
-    cols = np.arange(dim, dtype=np.int64)
-    chunk = max(1, (1 << 22) // dim)
-    for start in range(0, dim, chunk):
-        stop = min(start + chunk, dim)
-        rows = np.arange(start, stop, dtype=np.int64)[:, None]
-        out[start:stop] = fn(
-            np.broadcast_to(rows, (stop - start, dim)),
-            np.broadcast_to(cols, (stop - start, dim)),
-            n,
-        )
-    return out
-
-
 def build_table(
     signature: AlgebraSignature, cap: int = DEFAULT_TABLE_CAP
 ) -> MultiplicationTable:
-    """Materialize the full multiplication table for a closed-form signature."""
+    """Materialize the full multiplication table for a closed-form signature.
+
+    Built by block doubling (``twist_matrix``), with a seeded sample checked
+    against the batch closed form. ``cap`` bounds the 4**n-byte sign matrix.
+    """
     if not signature.has_closed_form:
         raise ValueError(f"no closed-form twist for this signature: {signature}")
     if signature.level > cap:
@@ -176,8 +158,20 @@ def build_table(
             f"refusing to build a level-{signature.level} table "
             f"(cap is {cap}; raise it explicitly if you mean it)"
         )
-    exponents = _exponent_matrix(signature)
-    signs = (1 - 2 * exponents.astype(np.int8)).astype(np.int8)
+    n = signature.level
+    exponents = twist_matrix(n, split=not signature.is_standard)
+    fn = twist_batch if signature.is_standard else split_twist_batch
+    rng = random.Random(n)
+    A, B = np.array([rng.getrandbits(n) for _ in range(1 << 13)]).reshape(2, -1)  # int64
+    bad = np.flatnonzero(exponents[A, B] != fn(A, B, n))
+    if bad.size:
+        i = bad[0]
+        raise InvariantViolation(
+            f"block-doubling table != closed form at ({A[i]}, {B[i]}) for {signature}"
+        )
+    signs = exponents.view(np.int8)
+    signs *= -2
+    signs += 1  # exponent 0 -> +1, 1 -> -1, in place
     return MultiplicationTable(signature, signs)
 
 
@@ -763,6 +757,8 @@ def benchmark_engines(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if queries < 1:
+        raise ValueError("queries must be >= 1")
     rows: list[BenchRow] = []
     for level in levels:
         if level < 1:
@@ -812,8 +808,7 @@ def benchmark_engines(
 
         table_rows = None
         if level <= table_max_level:
-            exponents = _exponent_matrix(AlgebraSignature.standard(level))
-            table_rows = [row.tobytes() for row in exponents]
+            table_rows = [row.tobytes() for row in twist_matrix(level)]
 
             def run_table():
                 acc = 0

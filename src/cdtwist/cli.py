@@ -13,6 +13,8 @@ import contextlib
 import json
 import sys
 
+import numpy as np
+
 from . import analysis
 from .algebra import (
     AlgebraSignature,
@@ -192,49 +194,36 @@ def _cmd_mul(args) -> int:
     return 0
 
 
+def _table_rows(signs: np.ndarray, cells: list[str]):
+    """Yield each row's cells: ``cells`` holds every index's + cell, then its - cell."""
+    cols, cells = np.arange(len(signs)), np.array(cells, dtype=object)
+    for A, row in enumerate(signs):
+        yield cells[(A ^ cols) + len(cols) * (row < 0)].tolist()
+
+
 def _cmd_table(args) -> int:
     sig = _signature(args)
-    table = analysis.build_table(sig, cap=args.cap)
-    dim = table.dimension
+    signs = analysis.build_table(sig, cap=args.cap).signs
+    labels = [_fmt_index(i, sig.level, args.binary) for i in range(sig.dimension)]
+    # Written row by row: only the sign matrix is held, never the text.
     with _output(args) as out:
         if args.format == "json":
-            entries = [
-                [
-                    {"s": int(table.signs[A, B]), "i": A ^ B}
-                    for B in range(dim)
-                ]
-                for A in range(dim)
-            ]
-            json.dump({"n": sig.level, "kind": sig.kind, "entries": entries}, out)
-            out.write("\n")
+            out.write(f'{{"n": {sig.level}, "kind": {json.dumps(sig.kind)}, "entries": [')
+            cells = [f'{{"s": {s}, "i": {i}}}' for s in (1, -1) for i in range(sig.dimension)]
+            for A, row in enumerate(_table_rows(signs, cells)):
+                out.write((", [" if A else "[") + ", ".join(row) + "]")
+            out.write("]}\n")
         elif args.format == "csv":
-            header = "A\\B," + ",".join(
-                _fmt_index(B, sig.level, args.binary) for B in range(dim)
-            )
-            print(header, file=out)
-            for A in range(dim):
-                cells = [
-                    f"{'+' if table.signs[A, B] > 0 else '-'}"
-                    f"{_fmt_index(A ^ B, sig.level, args.binary)}"
-                    for B in range(dim)
-                ]
-                print(f"{_fmt_index(A, sig.level, args.binary)}," + ",".join(cells), file=out)
+            out.write("A\\B," + ",".join(labels) + "\n")
+            cells = [s + label for s in "+-" for label in labels]
+            for A, row in enumerate(_table_rows(signs, cells)):
+                out.write(labels[A] + "," + ",".join(row) + "\n")
         else:  # markdown
-            head = [f"e{_fmt_index(B, sig.level, args.binary)}" for B in range(dim)]
-            print("| A\\B | " + " | ".join(head) + " |", file=out)
-            print("|" + " --- |" * (dim + 1), file=out)
-            for A in range(dim):
-                cells = [
-                    f"{'+' if table.signs[A, B] > 0 else '-'}"
-                    f"e{_fmt_index(A ^ B, sig.level, args.binary)}"
-                    for B in range(dim)
-                ]
-                print(
-                    f"| e{_fmt_index(A, sig.level, args.binary)} | "
-                    + " | ".join(cells)
-                    + " |",
-                    file=out,
-                )
+            out.write("| A\\B | " + " | ".join(f"e{label}" for label in labels) + " |\n")
+            out.write("|" + " --- |" * (len(labels) + 1) + "\n")
+            cells = [f"{s}e{label}" for s in "+-" for label in labels]
+            for A, row in enumerate(_table_rows(signs, cells)):
+                out.write(f"| e{labels[A]} | " + " | ".join(row) + " |\n")
     return 0
 
 

@@ -16,6 +16,7 @@ exponent. This module computes that exponent along two independent routes:
 * ``twist_recursive`` peels the highest relevant bit and applies the
   doubling recursion, seeded on indices {0, 1} by the facts that the unit
   is neutral and the first imaginary generator squares to -1.
+  ``twist_matrix`` builds whole tables by this recursion in block form.
 
 The two routes must agree everywhere; the test suite enforces this
 exhaustively for all levels up to 8. The split variant (final doubling
@@ -48,6 +49,7 @@ __all__ = [
     "split_twist_recursive",
     "twist_batch",
     "split_twist_batch",
+    "twist_matrix",
     "MAX_LEVEL",
 ]
 
@@ -192,9 +194,9 @@ def twist_batch(A, B, level: int) -> np.ndarray:
     """Vectorized ``twist`` over arrays of indices.
 
     Accepts anything ``np.asarray`` turns into integer arrays of equal
-    shape; returns a uint8 array of exponents. Used by table builders and
-    the benchmark harness, and cross-checked against the scalar routes in
-    the test suite.
+    shape; returns a uint8 array of exponents. Used to sample-check table
+    builds and by the benchmark harness, and cross-checked against the
+    scalar routes in the test suite.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
@@ -240,3 +242,23 @@ def split_twist_batch(A, B, level: int) -> np.ndarray:
     B = np.asarray(B, dtype=np.int64)
     top = level - 1
     return (base ^ (((A >> top) & (B >> top)) & 1).astype(np.uint8))
+
+
+def twist_matrix(level: int, split: bool = False) -> np.ndarray:
+    """Full uint8 exponent matrix ``M[A, B]``, by the doubling recursion in block form.
+
+    T_0 = [[0]], T_{k+1} = [[T, T^t], [T + d, T^t + d + 1]] over Z2 with
+    d[B] = T[B, B] along every row; the split kind drops the last ``+ 1``.
+    Cost is O(4**n) byte operations; callers bound the level.
+    """
+    if level < split:
+        raise ValueError(f"level must be >= {int(split)} (split needs 1), got {level}")
+    out = np.zeros((1 << level, 1 << level), dtype=np.uint8)
+    for k in range(level):
+        h = 1 << k
+        T = out[:h, :h]
+        d = T.diagonal()
+        out[:h, h : 2 * h] = T.T
+        out[h : 2 * h, :h] = T ^ d
+        out[h : 2 * h, h : 2 * h] = T.T ^ d ^ (0 if split and k == level - 1 else 1)
+    return out

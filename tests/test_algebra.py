@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdtwist import algebra
 from cdtwist.algebra import (
     AlgebraSignature,
     Element,
+    InvariantViolation,
     SignedIndex,
     basis_element,
     basis_from_generators,
@@ -158,6 +160,15 @@ class TestMulTwist:
         gen = AlgebraSignature.from_gammas((1, 1))
         with pytest.raises(ValueError, match="no closed-form twist"):
             mul_twist(unit(gen), unit(gen))
+
+    @pytest.mark.parametrize("sig", [STD(3), SPL(3)])
+    def test_wrong_closed_form_is_detected_on_cold_cache(self, sig, monkeypatch):
+        attr = "twist" if sig.is_standard else "split_twist"
+        right = getattr(algebra, attr)
+        monkeypatch.setattr(algebra, attr, lambda A, B, level: right(A, B, level) ^ 1)
+        monkeypatch.setattr(algebra, "_twist_tables", {})
+        with pytest.raises(InvariantViolation, match="block-doubling"):
+            mul_twist(unit(sig), unit(sig))
 
 
 class TestMulDoubling:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from cdtwist import analysis
 from cdtwist.algebra import (
     AlgebraSignature,
     Element,
+    InvariantViolation,
     basis_mul,
     mul_doubling,
     norm,
@@ -75,6 +77,14 @@ class TestBuildTable:
         with pytest.raises(ValueError, match="cap"):
             build_table(STD(13))
         build_table(STD(5), cap=5)  # at the cap is fine
+
+    @pytest.mark.parametrize("sig", [STD(4), SPL(4)])
+    def test_wrong_closed_form_is_detected(self, sig, monkeypatch):
+        attr = "twist_batch" if sig.is_standard else "split_twist_batch"
+        right = getattr(analysis, attr)
+        monkeypatch.setattr(analysis, attr, lambda A, B, level: right(A, B, level) ^ 1)
+        with pytest.raises(InvariantViolation, match="block-doubling"):
+            build_table(sig)
 
     def test_no_closed_form(self):
         with pytest.raises(ValueError):
@@ -241,6 +251,10 @@ class TestBenchmark:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             benchmark_engines([0], queries=10)
+
+    def test_no_queries(self):
+        with pytest.raises(ValueError, match="queries"):
+            benchmark_engines([3], queries=0)
 
 
 class TestReportSerialization:

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from cdtwist import analysis
+from cdtwist.algebra import AlgebraSignature
 from cdtwist.cli import main
+from cdtwist.twist import split_twist, twist
 
 
 def run(capsys, *argv):
@@ -150,6 +153,62 @@ class TestTable:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["n"] == 1
 
+    def test_wrong_closed_form_exits_two(self, capsys, monkeypatch):
+        right = analysis.twist_batch
+        monkeypatch.setattr(analysis, "twist_batch", lambda A, B, level: right(A, B, level) ^ 1)
+        code, out, err = run(capsys, "table", "-n", "3")
+        assert code == 2 and out == ""
+        assert "invariant violation" in err
+
+
+def _reference_table(fmt: str, level: int, split: bool, binary: bool) -> str:
+    """The table text as the per-cell renderer wrote it, signs from the scalar closed form."""
+    sig = AlgebraSignature.split(level) if split else AlgebraSignature.standard(level)
+    fn = split_twist if split else twist
+    dim = 1 << level
+    signs = [[-1 if fn(A, B, level) else 1 for B in range(dim)] for A in range(dim)]
+
+    def fmt_index(i):
+        return format(i, f"0{max(level, 1)}b") if binary else str(i)
+
+    if fmt == "json":
+        entries = [[{"s": signs[A][B], "i": A ^ B} for B in range(dim)] for A in range(dim)]
+        return json.dumps({"n": level, "kind": sig.kind, "entries": entries}) + "\n"
+    lines = []
+    if fmt == "csv":
+        lines.append("A\\B," + ",".join(fmt_index(B) for B in range(dim)))
+        for A in range(dim):
+            cells = [
+                f"{'+' if signs[A][B] > 0 else '-'}{fmt_index(A ^ B)}" for B in range(dim)
+            ]
+            lines.append(f"{fmt_index(A)}," + ",".join(cells))
+    else:
+        lines.append("| A\\B | " + " | ".join(f"e{fmt_index(B)}" for B in range(dim)) + " |")
+        lines.append("|" + " --- |" * (dim + 1))
+        for A in range(dim):
+            cells = [
+                f"{'+' if signs[A][B] > 0 else '-'}e{fmt_index(A ^ B)}" for B in range(dim)
+            ]
+            lines.append(f"| e{fmt_index(A)} | " + " | ".join(cells) + " |")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+@pytest.mark.parametrize(
+    "level, split", [(0, False)] + [(n, s) for n in (1, 3, 5) for s in (False, True)]
+)
+@pytest.mark.parametrize("binary", [False, True])
+def test_table_output_is_byte_identical(capsys, tmp_path, fmt, level, split, binary):
+    argv = ["table", "-n", str(level), "--format", fmt]
+    argv += ["--split"] * split + ["--binary"] * binary
+    expected = _reference_table(fmt, level, split, binary)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == expected
+    path = tmp_path / f"table.{fmt}"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == expected.encode()
+
 
 class TestVerify:
     def test_twist_laws_pass(self, capsys):
@@ -218,6 +277,11 @@ class TestBench:
         )
         assert code == 0 and out == ""
         assert path.read_text().strip()
+
+    def test_zero_queries_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--levels", "3", "--queries", "0")
+        assert code == 1 and out == ""
+        assert "queries" in err
 
 
 class TestUsageErrors:

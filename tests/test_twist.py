@@ -14,8 +14,11 @@ from cdtwist.twist import (
     split_twist_recursive,
     twist,
     twist_batch,
+    twist_matrix,
     twist_recursive,
 )
+from cdtwist.algebra import AlgebraSignature
+from cdtwist.analysis import _oracle_parity_table
 
 
 class TestDegree:
@@ -175,6 +178,34 @@ class TestBatch:
         out = twist_batch(np.broadcast_to(a, (8, 8)), np.broadcast_to(b, (8, 8)), 3)
         assert out.shape == (8, 8)
         assert out[5, 6] == 1
+
+
+def _kinds_through(top):
+    # split algebras start at level 1
+    return [(n, split) for n in range(top + 1) for split in (False, True) if n or not split]
+
+
+class TestTwistMatrix:
+    @pytest.mark.parametrize("level, split", _kinds_through(8))
+    def test_matches_scalar_exhaustive(self, level, split):
+        fn = split_twist if split else twist
+        dim = 1 << level
+        expected = [[fn(A, B, level) for B in range(dim)] for A in range(dim)]
+        matrix = twist_matrix(level, split)
+        assert matrix.dtype == np.uint8
+        assert matrix.tolist() == expected
+
+    @pytest.mark.parametrize("level, split", _kinds_through(6))
+    def test_matches_doubling_oracle_exhaustive(self, level, split):
+        sig = (AlgebraSignature.split if split else AlgebraSignature.standard)(level)
+        oracle = [list(row) for row in _oracle_parity_table(sig)]
+        assert twist_matrix(level, split).tolist() == oracle
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="split needs 1"):
+            twist_matrix(0, split=True)
+        with pytest.raises(ValueError, match="level"):
+            twist_matrix(-1)
 
 
 # -- property tests ----------------------------------------------------------
