@@ -14,6 +14,9 @@ being reported, so a consumer can replay them.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import random
 import statistics
 import time
@@ -36,6 +39,7 @@ from .algebra import (
     random_element,
 )
 from .twist import (
+    _peel,
     degree,
     ell,
     phi,
@@ -179,8 +183,24 @@ def build_table(
 # twist-law sweeps
 
 
-def _or_sum_from(A: int, B: int, cut: int) -> int:
-    return ((A | B) >> cut).bit_count() & 1
+def _first_failure(cases, fails):
+    """Call ``fails(*case)`` on each argument tuple in order, up to the first failure.
+
+    Returns (the failing case or None, number of cases evaluated). Lazy
+    ``cases`` are drawn only as far as the sweep gets.
+    """
+    checked = 0
+    for case in cases:
+        checked += 1
+        if fails(*case):
+            return case, checked
+    return None, checked
+
+
+def _report(name, kind, level, found, seed=None) -> PropertyReport:
+    """Report of a sweep from its (witness, checked): it holds iff no witness was found."""
+    witness, checked = found
+    return PropertyReport(name, kind, level, witness is None, checked, witness, seed)
 
 
 def verify_twist_laws(level: int) -> list[PropertyReport]:
@@ -195,100 +215,58 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     if level < 1:
         raise ValueError("twist-law sweeps need level >= 1")
     dim = 1 << level
-    kind = "standard"
-    reports: list[PropertyReport] = []
+    top = level - 1
 
     closed = [[twist(A, B, level) for B in range(dim)] for A in range(dim)]
     recursive = [[twist_recursive(A, B) for B in range(dim)] for A in range(dim)]
-    split_closed = [
-        [split_twist(A, B, level) for B in range(dim)] for A in range(dim)
-    ]
+    split_closed = [[split_twist(A, B, level) for B in range(dim)] for A in range(dim)]
 
-    def sweep(name, pairs, predicate, report_kind=kind):
-        checked = 0
-        witness = None
-        for A, B in pairs:
-            checked += 1
-            if not predicate(A, B):
-                witness = (A, B)
-                break
-        reports.append(
-            PropertyReport(name, report_kind, level, witness is None, checked, witness)
-        )
+    def all_pairs():
+        return itertools.product(range(dim), repeat=2)
 
-    all_pairs = [(A, B) for A in range(dim) for B in range(dim)]
+    def distinct_pairs():
+        return ((A, B) for A in range(1, dim) for B in range(1, dim) if A != B)
 
-    sweep("closed_equals_recursive", all_pairs, lambda A, B: closed[A][B] == recursive[A][B])
-    sweep(
-        "split_closed_equals_recursive",
-        all_pairs,
-        lambda A, B: split_closed[A][B] == split_twist_recursive(A, B, level),
-        report_kind="split",
-    )
-    sweep(
-        "unit_row_and_column",
-        [(0, B) for B in range(dim)] + [(A, 0) for A in range(dim)],
-        lambda A, B: closed[A][B] == 0,
-    )
-    sweep(
-        "nonzero_diagonal_is_one",
-        [(A, A) for A in range(1, dim)],
-        lambda A, B: closed[A][A] == 1,
-    )
-    sweep(
-        "off_diagonal_antisymmetry",
-        [(A, B) for A in range(1, dim) for B in range(1, dim) if A != B],
-        lambda A, B: (closed[A][B] + closed[B][A]) & 1 == 1,
-    )
-    sweep(
-        "equal_degree_cut_bits_differ",
-        [
-            (A, B)
-            for A in range(1, dim)
-            for B in range(1, dim)
-            if A != B and degree(A) == degree(B)
-        ],
-        lambda A, B: ((A >> ell(A, B)) & 1) + ((B >> ell(A, B)) & 1) == 1,
-    )
-    sweep(
-        "cut_bit_or_is_one",
-        [(A, B) for A in range(1, dim) for B in range(1, dim) if A != B],
-        lambda A, B: phi((A >> ell(A, B)) & 1, (B >> ell(A, B)) & 1) == 1,
-    )
-
-    def unified(A, B):
+    def breaks_unified_form(A, B):
         cut = ell(A, B)
         expected = (
             (1 if degree(A) == degree(B) else 0)
             + ((B >> cut) & 1)
-            + _or_sum_from(A, B, cut)
+            + ((A | B) >> cut).bit_count()
         ) & 1
-        return closed[A][B] == expected
+        return closed[A][B] != expected
 
-    sweep(
-        "unified_upper_form",
-        [
-            (A, B)
-            for A in range(1, dim)
-            for B in range(1, dim)
-            if A != B and degree(A) >= degree(B)
-        ],
-        unified,
-    )
-    top = level - 1
-    sweep(
-        "split_reduction",
-        all_pairs,
-        lambda A, B: (split_closed[A][B] ^ closed[A][B])
-        == (((A >> top) & (B >> top)) & 1),
-        report_kind="split",
-    )
-    sweep(
-        "padding_invariance",
-        all_pairs,
-        lambda A, B: closed[A][B] == twist(A, B, level + 2),
-    )
-    return reports
+    # (property, kind, index pairs, violation of the identity on one pair)
+    laws = [
+        ("closed_equals_recursive", "standard", all_pairs(),
+         lambda A, B: closed[A][B] != recursive[A][B]),
+        ("split_closed_equals_recursive", "split", all_pairs(),
+         lambda A, B: split_closed[A][B] != split_twist_recursive(A, B, level)),
+        ("unit_row_and_column", "standard",
+         [(0, B) for B in range(dim)] + [(A, 0) for A in range(dim)],
+         lambda A, B: closed[A][B] != 0),
+        ("nonzero_diagonal_is_one", "standard", ((A, A) for A in range(1, dim)),
+         lambda A, B: closed[A][A] != 1),
+        ("off_diagonal_antisymmetry", "standard", distinct_pairs(),
+         lambda A, B: (closed[A][B] + closed[B][A]) & 1 != 1),
+        ("equal_degree_cut_bits_differ", "standard",
+         ((A, B) for A, B in distinct_pairs() if degree(A) == degree(B)),
+         lambda A, B: ((A >> ell(A, B)) & 1) + ((B >> ell(A, B)) & 1) != 1),
+        ("cut_bit_or_is_one", "standard", distinct_pairs(),
+         lambda A, B: phi((A >> ell(A, B)) & 1, (B >> ell(A, B)) & 1) != 1),
+        ("unified_upper_form", "standard",
+         ((A, B) for A, B in distinct_pairs() if degree(A) >= degree(B)),
+         breaks_unified_form),
+        ("split_reduction", "split", all_pairs(),
+         lambda A, B: (split_closed[A][B] ^ closed[A][B])
+         != (((A >> top) & (B >> top)) & 1)),
+        ("padding_invariance", "standard", all_pairs(),
+         lambda A, B: closed[A][B] != twist(A, B, level + 2)),
+    ]
+    return [
+        _report(name, kind, level, _first_failure(pairs, violates))
+        for name, kind, pairs, violates in laws
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +291,11 @@ def _oracle_parity_table(signature: AlgebraSignature) -> list[bytes]:
             for B in range(dim):
                 product = mul_doubling(ea, basis_element(signature, B))
                 coeff = product.coeffs[A ^ B]
-                if coeff == 1:
-                    row[B] = 0
-                elif coeff == -1:
-                    row[B] = 1
-                else:
+                if coeff not in (1, -1):
                     raise InvariantViolation(
                         f"basis product e_{A} e_{B} is not a signed basis element"
                     )
+                row[B] = coeff == -1
             rows.append(bytes(row))
         table = rows
         _oracle_tables[key] = table
@@ -334,91 +309,54 @@ def _two_term(signature, i, j, sign_j):
     return Element(signature, coeffs)
 
 
-_LAWS = (
-    "commutative",
-    "associative",
-    "left_alternative",
-    "right_alternative",
-    "flexible",
-    "norm_multiplicative",
-)
-
-
-def _law_violation(law: str, x: Element, y: Element, z: Element | None) -> bool:
-    m = mul_doubling
-    if law == "commutative":
-        return m(x, y) != m(y, x)
-    if law == "associative":
-        return m(m(x, y), z) != m(x, m(y, z))
-    if law == "left_alternative":
-        return m(m(x, x), y) != m(x, m(x, y))
-    if law == "right_alternative":
-        return m(m(y, x), x) != m(y, m(x, x))
-    if law == "flexible":
-        return m(x, m(y, x)) != m(m(x, y), x)
-    if law == "norm_multiplicative":
-        return norm(m(x, y)) != norm(x) * norm(y)
-    raise KeyError(law)
-
-
-def _basis_law_witness(law: str, signature: AlgebraSignature):
-    """First basis tuple violating ``law``, or None; count of tuples checked.
-
-    Pair laws sweep all basis pairs, associativity sweeps all triples.
-    Everything runs on the doubling-derived parity table, so a returned
-    witness only needs a final element-level confirmation.
-    """
-    t = _oracle_parity_table(signature)
-    dim = signature.dimension
-    checked = 0
-    if law == "associative":
-        for A in range(dim):
-            for B in range(dim):
-                ab = t[A][B]
-                for C in range(dim):
-                    checked += 1
-                    if (ab ^ t[A ^ B][C]) != (t[B][C] ^ t[A][B ^ C]):
-                        return (A, B, C), checked
-        return None, checked
-    if law == "norm_multiplicative":
-        # Basis norms are +-1 depending only on the doubling parameters,
-        # and signs square away: n(e_A e_B) = n(e_A) n(e_B) always. Still
-        # swept for completeness via the element route.
-        for A in range(dim):
-            ea = basis_element(signature, A)
-            for B in range(dim):
-                checked += 1
-                if _law_violation(law, ea, basis_element(signature, B), None):
-                    return (A, B), checked
-        return None, checked
-    for A in range(dim):
-        for B in range(dim):
-            checked += 1
-            if law == "commutative":
-                bad = t[A][B] != t[B][A]
-            elif law == "left_alternative":
-                bad = t[A][A] != (t[A][B] ^ t[A][A ^ B])
-            elif law == "right_alternative":
-                bad = t[A][A] != (t[B][A] ^ t[B ^ A][A])
-            elif law == "flexible":
-                bad = (t[B][A] ^ t[A][B ^ A]) != (t[A][B] ^ t[A ^ B][A])
-            else:
-                raise KeyError(law)
-            if bad:
-                return (A, B), checked
-    return None, checked
-
-
-def _confirm_basis_witness(law: str, signature: AlgebraSignature, witness) -> None:
-    elems = [basis_element(signature, i) for i in witness]
-    if law == "associative":
-        x, y, z = elems
-    else:
-        (x, y), z = elems, None
-    if not _law_violation(law, x, y, z):
-        raise InvariantViolation(
-            f"basis witness {witness} for {law} does not replay at element level"
-        )
+# law -> (arity, element-level violation, basis-parity violation or None,
+# highest level at which the law holds). A parity violation reads the
+# doubling-derived table t: e_A e_B = (-1)**t[A][B] e_{A^B}. Norm
+# multiplicativity has none: basis norms are +-1 and signs square away, so
+# it is swept on basis elements instead. The decay profile is the same for
+# standard and split parameter vectors; flexibility survives at every level.
+_LAWS = {
+    "commutative": (
+        2,
+        lambda x, y: mul_doubling(x, y) != mul_doubling(y, x),
+        lambda t, A, B: t[A][B] != t[B][A],
+        1,
+    ),
+    "associative": (
+        3,
+        lambda x, y, z: mul_doubling(mul_doubling(x, y), z)
+        != mul_doubling(x, mul_doubling(y, z)),
+        lambda t, A, B, C: (t[A][B] ^ t[A ^ B][C]) != (t[B][C] ^ t[A][B ^ C]),
+        2,
+    ),
+    "left_alternative": (
+        2,
+        lambda x, y: mul_doubling(mul_doubling(x, x), y)
+        != mul_doubling(x, mul_doubling(x, y)),
+        lambda t, A, B: t[A][A] != (t[A][B] ^ t[A][A ^ B]),
+        3,
+    ),
+    "right_alternative": (
+        2,
+        lambda x, y: mul_doubling(mul_doubling(y, x), x)
+        != mul_doubling(y, mul_doubling(x, x)),
+        lambda t, A, B: t[A][A] != (t[B][A] ^ t[B ^ A][A]),
+        3,
+    ),
+    "flexible": (
+        2,
+        lambda x, y: mul_doubling(x, mul_doubling(y, x))
+        != mul_doubling(mul_doubling(x, y), x),
+        lambda t, A, B: (t[B][A] ^ t[A][B ^ A]) != (t[A][B] ^ t[A ^ B][A]),
+        math.inf,
+    ),
+    "norm_multiplicative": (
+        2,
+        lambda x, y: norm(mul_doubling(x, y)) != norm(x) * norm(y),
+        None,
+        3,
+    ),
+}
 
 
 def _samples_for_level(samples: int, level: int) -> int:
@@ -429,6 +367,45 @@ def _samples_for_level(samples: int, level: int) -> int:
     return max(8, samples >> (2 * (level - BASIS_TRIPLE_CAP)))
 
 
+def _first_failing_tuple(
+    signature, arity, violates, parity_violates, exhaustive, rng, n_samples
+):
+    """First tuple that ``violates`` a law, and the number of tuples checked.
+
+    With ``exhaustive``, all basis index tuples come first, in index order:
+    through ``parity_violates`` on the doubling-derived parity table when
+    given, else through ``violates`` on basis elements. A basis witness must
+    replay at element level. Then ``n_samples`` seeded dense tuples, drawn
+    one tuple at a time; their witness is a tuple of coefficient tuples.
+    """
+    witness, checked = None, 0
+    if exhaustive:
+        basis = [basis_element(signature, i) for i in range(signature.dimension)]
+
+        def on_basis(*idx):
+            return violates(*(basis[i] for i in idx))
+
+        fails = on_basis
+        if parity_violates is not None:
+            fails = functools.partial(parity_violates, _oracle_parity_table(signature))
+        tuples = itertools.product(range(len(basis)), repeat=arity)
+        witness, checked = _first_failure(tuples, fails)
+        if witness is not None and not on_basis(*witness):
+            raise InvariantViolation(
+                f"basis witness {witness} does not replay at element level"
+            )
+    if witness is None:
+        draws = (
+            tuple(random_element(signature, rng) for _ in range(arity))
+            for _ in range(n_samples)
+        )
+        sample, sampled = _first_failure(draws, violates)
+        checked += sampled
+        if sample is not None:
+            witness = tuple(e.coeffs for e in sample)
+    return witness, checked
+
+
 def verify_algebra_laws(
     signature: AlgebraSignature, samples: int = 200, seed: int = 0
 ) -> list[PropertyReport]:
@@ -436,58 +413,26 @@ def verify_algebra_laws(
     (levels within the caps) plus seeded random dense tuples.
 
     Laws: commutativity, associativity, left/right alternativity,
-    flexibility, and norm multiplicativity. Each report carries the first
-    counterexample found, confirmed with the doubling engine.
+    flexibility, and norm multiplicativity. Pair laws sweep all basis
+    pairs, associativity all triples. Each report carries the first
+    counterexample found.
     """
     level = signature.level
     rng = random.Random(f"{seed}:laws:{signature.kind}:{level}")
     n_samples = _samples_for_level(samples, level)
+    exhaustive = level <= BASIS_TRIPLE_CAP
     reports = []
-    for law in _LAWS:
-        witness = None
-        checked = 0
-        if level <= BASIS_TRIPLE_CAP:
-            basis_witness, basis_checked = _basis_law_witness(law, signature)
-            checked += basis_checked
-            if basis_witness is not None:
-                _confirm_basis_witness(law, signature, basis_witness)
-                witness = basis_witness
-        if witness is None:
-            for _ in range(n_samples):
-                x = random_element(signature, rng)
-                y = random_element(signature, rng)
-                z = random_element(signature, rng) if law == "associative" else None
-                checked += 1
-                if _law_violation(law, x, y, z):
-                    witness = (x.coeffs, y.coeffs) + (
-                        (z.coeffs,) if z is not None else ()
-                    )
-                    break
-        reports.append(
-            PropertyReport(law, signature.kind, level, witness is None, checked, witness, seed)
+    for law, (arity, violates, parity_violates, _) in _LAWS.items():
+        found = _first_failing_tuple(
+            signature, arity, violates, parity_violates, exhaustive, rng, n_samples
         )
+        reports.append(_report(law, signature.kind, level, found, seed))
     return reports
 
 
 def expected_law_holds(law: str, kind: str, level: int) -> bool:
-    """Where each law is known to stop holding as the level grows.
-
-    The decay profile is the same for standard and split parameter
-    vectors: commutativity dies after level 1, associativity after 2,
-    alternativity and norm multiplicativity after 3; flexibility survives
-    at every level this package sweeps.
-    """
-    if law == "commutative":
-        return level <= 1
-    if law == "associative":
-        return level <= 2
-    if law in ("left_alternative", "right_alternative"):
-        return level <= 3
-    if law == "flexible":
-        return True
-    if law == "norm_multiplicative":
-        return level <= 3
-    raise KeyError(law)
+    """Whether ``law`` is known to hold at ``level`` (same for either kind)."""
+    return level <= _LAWS[law][3]
 
 
 def expected_zero_divisor_free(kind: str, level: int) -> bool:
@@ -547,16 +492,9 @@ def verify_relations(
 
     reports = []
     for name, check in relations:
-        witness = None
-        checked = 0
-        for a, b in operand_pairs:
-            checked += 1
-            if not check(a, b):
-                witness = (a.coeffs, b.coeffs)
-                break
-        reports.append(
-            PropertyReport(name, "standard", level, witness is None, checked, witness, seed)
-        )
+        pair, checked = _first_failure(operand_pairs, lambda a, b: not check(a, b))
+        witness = None if pair is None else (pair[0].coeffs, pair[1].coeffs)
+        reports.append(_report(name, "standard", level, (witness, checked), seed))
     return reports
 
 
@@ -571,38 +509,14 @@ def verify_engines(
     levels) and seeded random dense pairs, compared for exact equality."""
     level = signature.level
     rng = random.Random(f"{seed}:engines:{signature.kind}:{level}")
-    witness = None
-    checked = 0
-    if level <= 6:
-        for A in range(signature.dimension):
-            ea = basis_element(signature, A)
-            for B in range(signature.dimension):
-                eb = basis_element(signature, B)
-                checked += 1
-                if mul_twist(ea, eb) != mul_doubling(ea, eb):
-                    witness = (A, B)
-                    break
-            if witness:
-                break
-    if witness is None:
-        for _ in range(_samples_for_level(samples, level)):
-            x = random_element(signature, rng)
-            y = random_element(signature, rng)
-            checked += 1
-            if mul_twist(x, y) != mul_doubling(x, y):
-                witness = (x.coeffs, y.coeffs)
-                break
-    return [
-        PropertyReport(
-            "mul_twist == mul_doubling",
-            signature.kind,
-            level,
-            witness is None,
-            checked,
-            witness,
-            seed,
-        )
-    ]
+
+    def differ(x, y):
+        return mul_twist(x, y) != mul_doubling(x, y)
+
+    found = _first_failing_tuple(
+        signature, 2, differ, None, level <= 6, rng, _samples_for_level(samples, level)
+    )
+    return [_report("mul_twist == mul_doubling", signature.kind, level, found, seed)]
 
 
 def verify_generator_anchoring(level: int) -> list[PropertyReport]:
@@ -612,23 +526,11 @@ def verify_generator_anchoring(level: int) -> list[PropertyReport]:
     convention to the generator ordering independently of the closed form.
     """
     signature = AlgebraSignature.standard(level)
-    witness = None
-    checked = 0
-    for A in range(signature.dimension):
-        checked += 1
-        if basis_from_generators(A, signature) != basis_element(signature, A):
-            witness = (A,)
-            break
-    return [
-        PropertyReport(
-            "generator_products_anchor_basis",
-            "standard",
-            level,
-            witness is None,
-            checked,
-            witness,
-        )
-    ]
+    found = _first_failure(
+        ((A,) for A in range(signature.dimension)),
+        lambda A: basis_from_generators(A, signature) != basis_element(signature, A),
+    )
+    return [_report("generator_products_anchor_basis", "standard", level, found)]
 
 
 # ---------------------------------------------------------------------------
@@ -643,51 +545,59 @@ def find_zero_divisors(
     Enumerates candidates in a fixed order (A < B, C < D), evaluating each
     through the doubling-derived parity table, until the budget of
     evaluated products is exhausted. Candidates with A^B != C^D cannot
-    cancel (their four terms land on distinct basis indices) and are
-    filtered out without consuming budget. Every hit is re-verified with a
+    cancel (their four terms land on distinct basis indices), so they are
+    never generated and consume no budget. Every hit is re-verified with a
     dense doubling multiplication before being returned.
     """
     t = _oracle_parity_table(signature)
     dim = signature.dimension
+    # product = sign(A,C) e_{A^C} + t sign(A,D) e_{A^D}
+    #         + s sign(B,C) e_{B^C} + s t sign(B,D) e_{B^D}
+    # cancellation needs A^C == B^D, i.e. D = C^A^B, which also pairs A^D
+    # with B^C.
+    candidates = (
+        (A, B, C, C ^ A ^ B, s, tt)
+        for A in range(dim)
+        for B in range(A + 1, dim)
+        for C in range(dim)
+        if C < C ^ A ^ B
+        for s in (1, -1)
+        for tt in (1, -1)
+    )
     found = []
-    budget = search_budget
-    for A in range(dim):
-        for B in range(A + 1, dim):
-            for C in range(dim):
-                for D in range(C + 1, dim):
-                    # product = sign(A,C) e_{A^C} + t sign(A,D) e_{A^D}
-                    #         + s sign(B,C) e_{B^C} + s t sign(B,D) e_{B^D}
-                    # cancellation needs A^C == B^D (iff A^B == C^D),
-                    # which also pairs A^D with B^C.
-                    if (A ^ B) != (C ^ D):
-                        continue
-                    for s in (1, -1):
-                        for tt in (1, -1):
-                            if budget <= 0:
-                                return found
-                            budget -= 1
-                            term_ac = -1 if t[A][C] else 1
-                            term_ad = tt * (-1 if t[A][D] else 1)
-                            term_bc = s * (-1 if t[B][C] else 1)
-                            term_bd = s * tt * (-1 if t[B][D] else 1)
-                            if term_ac + term_bd or term_ad + term_bc:
-                                continue
-                            x = _two_term(signature, A, B, s)
-                            y = _two_term(signature, C, D, tt)
-                            product = mul_doubling(x, y)
-                            if not product.is_zero():
-                                raise InvariantViolation(
-                                    f"table said ({A},{B},{s})*({C},{D},{tt}) "
-                                    "vanishes but the doubling engine disagrees"
-                                )
-                            found.append(ZeroDivisorPair(x, y, product))
+    for A, B, C, D, s, tt in itertools.islice(candidates, max(search_budget, 0)):
+        term_ac = -1 if t[A][C] else 1
+        term_ad = tt * (-1 if t[A][D] else 1)
+        term_bc = s * (-1 if t[B][C] else 1)
+        term_bd = s * tt * (-1 if t[B][D] else 1)
+        if term_ac + term_bd or term_ad + term_bc:
+            continue
+        x = _two_term(signature, A, B, s)
+        y = _two_term(signature, C, D, tt)
+        product = mul_doubling(x, y)
+        if not product.is_zero():
+            raise InvariantViolation(
+                f"table said ({A},{B},{s})*({C},{D},{tt}) "
+                "vanishes but the doubling engine disagrees"
+            )
+        found.append(ZeroDivisorPair(x, y, product))
     return found
 
 
 def verify_zero_divisors(
     signature: AlgebraSignature, search_budget: int = 1 << 17
 ) -> list[PropertyReport]:
-    """Report wrapper around the two-term zero-divisor search."""
+    """Report wrapper around the two-term zero-divisor search.
+
+    The full search evaluates dim**2 * (dim - 1) candidates: dim*(dim-1)/2
+    pairs A < B, dim/2 pairs C < D with C^D == A^B, four sign choices.
+    ``checked`` counts the candidates evaluated, min(budget, that total);
+    the algebra is reported zero-divisor free only when the search ran to
+    the end without a hit.
+    """
+    dim = signature.dimension
+    candidates = dim * dim * (dim - 1)
+    checked = min(max(search_budget, 0), candidates)
     pairs = find_zero_divisors(signature, search_budget)
     witness = None
     if pairs:
@@ -697,8 +607,8 @@ def verify_zero_divisors(
             "zero_divisor_free",
             signature.kind,
             signature.level,
-            not pairs,
-            search_budget,
+            not pairs and checked == candidates,
+            checked,
             witness,
         )
     ]
@@ -749,8 +659,9 @@ def benchmark_engines(
     """Time the sign engines on uniform random index pairs.
 
     Engines: the scalar closed form, its vectorized batch variant, the
-    memoized recursion (query count capped so the memo stays bounded;
-    cache cleared per repetition so the timing is cold), and table lookup
+    memoized recursion (query count capped; each repetition recurses into a
+    fresh memo local to it, so the timing is cold and the process-wide
+    ``twist_recursive`` memo is left alone), and table lookup
     (levels within the table cap; build time excluded). Wall-clock medians
     over ``reps`` repetitions. For levels within ``check_max_level`` all
     engines must agree on every sampled query; disagreement raises.
@@ -793,10 +704,13 @@ def benchmark_engines(
         rec_pairs = pairs[:rec_queries]
 
         def run_recursive():
-            twist_recursive.cache_clear()
+            @functools.lru_cache(maxsize=twist_recursive.cache_info().maxsize)
+            def cold(a, b):
+                return _peel(a, b, cold)
+
             acc = 0
             for a, b in rec_pairs:
-                acc ^= twist_recursive(a, b)
+                acc ^= cold(a, b)
             return acc
 
         total = _median_time_ns(run_recursive, reps)

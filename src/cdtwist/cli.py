@@ -19,14 +19,45 @@ from . import analysis
 from .algebra import (
     AlgebraSignature,
     InvariantViolation,
+    basis_mul,
     format_coeffs,
     mul_doubling,
     mul_twist,
     parse_element,
 )
-from .twist import split_twist, twist
 
-SUITES = ("twist-laws", "algebra-laws", "relations", "engines", "zero-divisors")
+
+def _on_kind(verify):
+    """A suite call on the chosen kind's algebra; split algebras start at level 1.
+
+    ``_signature`` prefers ``-n`` over ``level``; with ``-n`` given, it is
+    the only level ``_cmd_verify`` runs.
+    """
+    return lambda args, level: (
+        [] if args.split and level < 1 else verify(_signature(args, level), args)
+    )
+
+
+# suite -> (lowest level, default top level, call(args, level) -> reports,
+# expected outcome of a report). Suites run in this order.
+SUITES = {
+    "twist-laws": (1, 8, lambda a, n: analysis.verify_twist_laws(n), lambda r: True),
+    "algebra-laws": (
+        0, 5, _on_kind(lambda sig, a: analysis.verify_algebra_laws(sig, a.samples, a.seed)),
+        lambda r: analysis.expected_law_holds(r.name, r.kind, r.level),
+    ),
+    "relations": (
+        0, 5, lambda a, n: analysis.verify_relations(n, a.samples, a.seed), lambda r: True
+    ),
+    "engines": (
+        0, 6, _on_kind(lambda sig, a: analysis.verify_engines(sig, a.samples, a.seed)),
+        lambda r: True,
+    ),
+    "zero-divisors": (
+        1, 4, _on_kind(lambda sig, a: analysis.verify_zero_divisors(sig, a.budget)),
+        lambda r: analysis.expected_zero_divisor_free(r.kind, r.level),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,19 +175,9 @@ def _fmt_index(i: int, level: int, binary: bool) -> str:
 
 def _cmd_sign(args) -> int:
     sig = _signature(args)
-    if not sig.has_closed_form:
-        raise ValueError(f"no closed-form twist for this signature: {sig}")
-    n = sig.level
-    bound = 1 << n
-    for name, value in (("A", args.A), ("B", args.B)):
-        if not 0 <= value < bound:
-            raise ValueError(
-                f"index {name}={value} out of range: must lie in [0, {bound}) "
-                f"for level {n}"
-            )
-    fn = twist if sig.is_standard else split_twist
-    exponent = fn(args.A, args.B, n)
-    a, b, c = (_fmt_index(i, n, args.binary) for i in (args.A, args.B, args.A ^ args.B))
+    sign, index = basis_mul(args.A, args.B, sig)
+    exponent = int(sign < 0)
+    a, b, c = (_fmt_index(i, sig.level, args.binary) for i in (args.A, args.B, index))
     with _output(args) as out:
         print(f"e{a} * e{b} = {'-' if exponent else '+'}e{c} (sigma={exponent})", file=out)
     return 0
@@ -227,53 +248,20 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _suite_levels(args, default_max: int, lowest: int = 1) -> list[int]:
-    if args.level is not None:
-        return [args.level]
-    top = args.n_max if args.n_max is not None else default_max
-    return list(range(lowest, top + 1))
-
-
 def _cmd_verify(args) -> int:
-    suites = args.suite or list(SUITES)
-    kind = "split" if args.split else "standard"
     if args.gamma is not None:
         raise ValueError("verification suites need a closed-form kind (standard/split)")
 
     lines = []  # (report, expected)
-    if "twist-laws" in suites:
-        for level in _suite_levels(args, default_max=8):
-            for report in analysis.verify_twist_laws(level):
-                lines.append((report, True))
-    if "algebra-laws" in suites:
-        for level in _suite_levels(args, default_max=5, lowest=0):
-            sig = _make_sig(kind, level)
-            if sig is None:
-                continue
-            for report in analysis.verify_algebra_laws(sig, args.samples, args.seed):
-                lines.append(
-                    (report, analysis.expected_law_holds(report.name, kind, level))
-                )
-    if "relations" in suites:
-        for level in _suite_levels(args, default_max=5, lowest=0):
-            for report in analysis.verify_relations(level, args.samples, args.seed):
-                lines.append((report, True))
-    if "engines" in suites:
-        for level in _suite_levels(args, default_max=6, lowest=0):
-            sig = _make_sig(kind, level)
-            if sig is None:
-                continue
-            for report in analysis.verify_engines(sig, args.samples, args.seed):
-                lines.append((report, True))
-    if "zero-divisors" in suites:
-        for level in _suite_levels(args, default_max=4):
-            sig = _make_sig(kind, level)
-            if sig is None:
-                continue
-            for report in analysis.verify_zero_divisors(sig, args.budget):
-                lines.append(
-                    (report, analysis.expected_zero_divisor_free(kind, level))
-                )
+    for name, (lowest, top, call, expected) in SUITES.items():
+        if args.suite and name not in args.suite:
+            continue
+        if args.level is not None:
+            levels = [args.level]
+        else:
+            levels = range(lowest, (top if args.n_max is None else args.n_max) + 1)
+        for level in levels:
+            lines += [(report, expected(report)) for report in call(args, level)]
 
     all_ok = True
     with _output(args) as out:
@@ -291,14 +279,6 @@ def _cmd_verify(args) -> int:
         file=sys.stderr,
     )
     return 0 if all_ok else 1
-
-
-def _make_sig(kind: str, level: int) -> AlgebraSignature | None:
-    if kind == "split":
-        if level < 1:
-            return None
-        return AlgebraSignature.split(level)
-    return AlgebraSignature.standard(level)
 
 
 def _cmd_bench(args) -> int:

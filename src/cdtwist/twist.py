@@ -125,33 +125,40 @@ def twist(A: int, B: int, level: int) -> int:
     return (a_cut + digit_sum) & 1
 
 
-@lru_cache(maxsize=1 << 18)
-def twist_recursive(A: int, B: int) -> int:
-    """Twist exponent by doubling recursion; agrees with ``twist``.
+def _peel(A: int, B: int, low, n: int | None = None, square: int = 1) -> int:
+    """One doubling step: the twist of (A, B) from ``low``, a twist of the low parts.
 
-    Peels the highest set bit n of either index and reduces the pair
-    (A0 + a_n 2**n, B0 + b_n 2**n) to twists of the low parts:
+    Peels bit n (by default the highest set bit of either index) and reduces
+    the pair (A0 + a_n 2**n, B0 + b_n 2**n) to twists of the low parts:
 
-        t(A0,B0)*(1+b_n) + t(B0,A0)*b_n + t(B0,B0)*a_n + a_n*b_n  (mod 2)
+        t(A0,B0)*(1+b_n) + t(B0,A0)*b_n + t(B0,B0)*a_n + square*a_n*b_n  (mod 2)
 
-    with the base values on {0,1}**2 being 0 except t(1,1) = 1. The memo
-    is bounded; exponential unfolding would otherwise make this route
-    unusable beyond small bit lengths.
+    where ``square`` is the exponent of the peeled generator's square: 1 when
+    it squares to -1, 0 for the hyperbolic unit of the split kind. Without
+    ``n``, pairs in {0,1}**2 are the seed: 0 except t(1,1) = 1.
     """
-    if A < 0 or B < 0:
-        raise ValueError(f"indices must be nonnegative, got ({A}, {B})")
-    if A < 2 and B < 2:
-        return A & B  # only the (1,1) pair hits the g0**2 = -1 sign
-    n = max(A.bit_length(), B.bit_length()) - 1
+    if n is None:
+        if A < 2 and B < 2:
+            return A & B  # only the (1,1) pair hits the g0**2 = -1 sign
+        n = max(A.bit_length(), B.bit_length()) - 1
     top = 1 << n
     a_n, b_n = (A >> n) & 1, (B >> n) & 1
     A0, B0 = A & ~top, B & ~top
     return (
-        twist_recursive(A0, B0) * (1 + b_n)
-        + twist_recursive(B0, A0) * b_n
-        + twist_recursive(B0, B0) * a_n
-        + a_n * b_n
+        low(A0, B0) * (1 + b_n) + low(B0, A0) * b_n + low(B0, B0) * a_n + square * a_n * b_n
     ) & 1
+
+
+@lru_cache(maxsize=1 << 18)
+def twist_recursive(A: int, B: int) -> int:
+    """Twist exponent by doubling recursion (``_peel``); agrees with ``twist``.
+
+    The memo is bounded; exponential unfolding would otherwise make this
+    route unusable beyond small bit lengths.
+    """
+    if A < 0 or B < 0:
+        raise ValueError(f"indices must be nonnegative, got ({A}, {B})")
+    return _peel(A, B, twist_recursive)
 
 
 def split_twist(A: int, B: int, level: int) -> int:
@@ -172,22 +179,13 @@ def split_twist_recursive(A: int, B: int, level: int) -> int:
     """Split twist exponent by one split-recursion step at the top bit.
 
     The split structure lives only in the final doubling, so the top bit
-    is peeled with the split rule (no a_n*b_n term, the hyperbolic unit
-    squares to +1) and the low parts are evaluated with the standard
-    recursion.
+    is peeled with the split rule (``square=0``: the hyperbolic unit squares
+    to +1) and the low parts are evaluated with the standard recursion.
     """
     if level < 1:
         raise ValueError("split algebras need level >= 1")
     _check_pair(A, B, level)
-    n = level - 1
-    top = 1 << n
-    a_n, b_n = (A >> n) & 1, (B >> n) & 1
-    A0, B0 = A & ~top, B & ~top
-    return (
-        twist_recursive(A0, B0) * (1 + b_n)
-        + twist_recursive(B0, A0) * b_n
-        + twist_recursive(B0, B0) * a_n
-    ) & 1
+    return _peel(A, B, twist_recursive, level - 1, square=0)
 
 
 def twist_batch(A, B, level: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from cdtwist.analysis import (
     verify_twist_laws,
     verify_zero_divisors,
 )
+from cdtwist.twist import twist_recursive
 
 STD = AlgebraSignature.standard
 SPL = AlgebraSignature.split
@@ -231,6 +232,26 @@ class TestZeroDivisors:
         (report,) = verify_zero_divisors(SPL(1))
         assert not report.holds and report.witness == ((1, 1), (1, -1))
 
+    @pytest.mark.parametrize("level, candidates", [(1, 4), (2, 48), (3, 448), (4, 3840)])
+    def test_checked_counts_evaluated_candidates(self, level, candidates):
+        (report,) = verify_zero_divisors(STD(level))
+        assert report.checked == candidates
+
+    def test_candidate_count_matches_enumeration(self):
+        for level in range(1, 6):
+            dim = 1 << level
+            pairs = [(A, B) for A in range(dim) for B in range(A + 1, dim)]
+            count = 4 * sum(1 for A, B in pairs for C, D in pairs if A ^ B == C ^ D)
+            assert count == dim * dim * (dim - 1)
+
+    def test_truncated_search_never_holds(self):
+        (report,) = verify_zero_divisors(STD(3), search_budget=0)
+        assert not report.holds and report.checked == 0 and report.witness is None
+        (report,) = verify_zero_divisors(STD(3), search_budget=447)
+        assert not report.holds and report.checked == 447
+        (report,) = verify_zero_divisors(STD(3), search_budget=448)
+        assert report.holds and report.checked == 448
+
 
 class TestBenchmark:
     def test_row_schema_and_agreement(self):
@@ -255,6 +276,14 @@ class TestBenchmark:
     def test_no_queries(self):
         with pytest.raises(ValueError, match="queries"):
             benchmark_engines([3], queries=0)
+
+    def test_leaves_the_recursion_memo_warm(self):
+        for A in range(64):
+            for B in range(64):
+                twist_recursive(A, B)
+        warm = twist_recursive.cache_info().currsize
+        benchmark_engines([3], queries=16, reps=1)
+        assert twist_recursive.cache_info().currsize >= warm
 
 
 class TestReportSerialization:

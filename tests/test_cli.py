@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from cdtwist import analysis
 from cdtwist.algebra import AlgebraSignature
 from cdtwist.cli import main
 from cdtwist.twist import split_twist, twist
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -256,6 +259,28 @@ class TestVerify:
         record = json.loads(out.strip())
         assert record["holds"] is False and record["expected"] is False
         assert record["witness"] == [[1, 1], [1, -1]]
+
+
+    def test_truncated_zero_divisor_search_fails(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "zero-divisors", "-n", "3", "--budget", "0"
+        )
+        assert code == 1
+        record = json.loads(out.strip())
+        assert record["holds"] is False and record["checked"] == 0
+        assert record["expected"] is True and record["ok"] is False
+
+
+# The fixtures are the stdout of `cdtwist verify --n-max 4 --samples 20 [--split]`.
+# Rewrite them from that command only when a change of output is intended.
+@pytest.mark.parametrize(
+    "fixture, flags",
+    [("verify_n4_s20.jsonl", ()), ("verify_n4_s20_split.jsonl", ("--split",))],
+)
+def test_verify_output_matches_golden(capsys, fixture, flags):
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--samples", "20", *flags)
+    assert code == 0
+    assert out == (DATA / fixture).read_text()
 
 
 class TestBench:
