@@ -120,13 +120,6 @@ class ZeroDivisorPair:
     y: Element
     product: Element
 
-    def to_dict(self) -> dict:
-        return {
-            "x": _jsonable(self.x.coeffs),
-            "y": _jsonable(self.y.coeffs),
-            "product": _jsonable(self.product.coeffs),
-        }
-
 
 @dataclass(frozen=True)
 class MultiplicationTable:
@@ -141,10 +134,6 @@ class MultiplicationTable:
 
     def entry(self, A: int, B: int) -> SignedIndex:
         return SignedIndex(int(self.signs[A, B]), A ^ B)
-
-    @property
-    def dimension(self) -> int:
-        return self.signature.dimension
 
 
 def build_table(
@@ -638,13 +627,14 @@ class BenchRow:
         }
 
 
-def _median_time_ns(fn, reps: int) -> int:
+def _median_time_ns(fn, reps: int):
+    """Median wall time of ``reps`` calls of ``fn``, and the last call's result."""
     times = []
     for _ in range(reps):
         t0 = time.perf_counter_ns()
-        fn()
+        out = fn()
         times.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(times))
+    return int(statistics.median(times)), out
 
 
 def benchmark_engines(
@@ -652,8 +642,6 @@ def benchmark_engines(
     queries: int = 1 << 18,
     seed: int = 0,
     reps: int = 5,
-    table_max_level: int = DEFAULT_TABLE_CAP,
-    check_max_level: int = 12,
     recursive_query_cap: int = 1 << 15,
 ) -> list[BenchRow]:
     """Time the sign engines on uniform random index pairs.
@@ -662,9 +650,10 @@ def benchmark_engines(
     memoized recursion (query count capped; each repetition recurses into a
     fresh memo local to it, so the timing is cold and the process-wide
     ``twist_recursive`` memo is left alone), and table lookup
-    (levels within the table cap; build time excluded). Wall-clock medians
-    over ``reps`` repetitions. For levels within ``check_max_level`` all
-    engines must agree on every sampled query; disagreement raises.
+    (levels within ``DEFAULT_TABLE_CAP``; build time excluded). Wall-clock
+    medians over ``reps`` repetitions. Each timed call returns one exponent
+    per query; within ``DEFAULT_TABLE_CAP`` every engine's answers must equal
+    the closed form's, and disagreement raises.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -680,72 +669,34 @@ def benchmark_engines(
         ]
         a_arr = np.array([p[0] for p in pairs], dtype=np.int64)
         b_arr = np.array([p[1] for p in pairs], dtype=np.int64)
+        rec_pairs = pairs[:recursive_query_cap]
 
-        def run_scalar():
-            acc = 0
-            for a, b in pairs:
-                acc ^= twist(a, b, level)
-            return acc
-
-        total = _median_time_ns(run_scalar, reps)
-        rows.append(BenchRow(level, "closed", queries, total, total / queries, reps))
-
-        batch_result = {}
-
-        def run_batch():
-            batch_result["out"] = twist_batch(a_arr, b_arr, level)
-
-        total = _median_time_ns(run_batch, reps)
-        rows.append(
-            BenchRow(level, "closed_batch", queries, total, total / queries, reps)
-        )
-
-        rec_queries = min(queries, recursive_query_cap)
-        rec_pairs = pairs[:rec_queries]
-
-        def run_recursive():
+        def cold_recursion():
             @functools.lru_cache(maxsize=twist_recursive.cache_info().maxsize)
             def cold(a, b):
                 return _peel(a, b, cold)
 
-            acc = 0
-            for a, b in rec_pairs:
-                acc ^= cold(a, b)
-            return acc
+            return [cold(a, b) for a, b in rec_pairs]
 
-        total = _median_time_ns(run_recursive, reps)
-        rows.append(
-            BenchRow(
-                level, "recursive_memo", rec_queries, total, total / rec_queries, reps
-            )
-        )
+        # engine -> (its queries, a timed call returning one exponent per query)
+        engines = {
+            "closed": (pairs, lambda: [twist(a, b, level) for a, b in pairs]),
+            "closed_batch": (pairs, lambda: twist_batch(a_arr, b_arr, level)),
+            "recursive_memo": (rec_pairs, cold_recursion),
+        }
+        if level <= DEFAULT_TABLE_CAP:
+            table = [row.tobytes() for row in twist_matrix(level)]
+            engines["table_lookup"] = (pairs, lambda: [table[a][b] for a, b in pairs])
 
-        table_rows = None
-        if level <= table_max_level:
-            table_rows = [row.tobytes() for row in twist_matrix(level)]
-
-            def run_table():
-                acc = 0
-                for a, b in pairs:
-                    acc ^= table_rows[a][b]
-                return acc
-
-            total = _median_time_ns(run_table, reps)
-            rows.append(
-                BenchRow(level, "table_lookup", queries, total, total / queries, reps)
-            )
-
-        if level <= check_max_level:
-            scalar_out = [twist(a, b, level) for a, b in pairs]
-            if list(batch_result["out"]) != scalar_out:
-                raise InvariantViolation(f"batch vs scalar disagreement at level {level}")
-            rec_out = [twist_recursive(a, b) for a, b in rec_pairs]
-            if rec_out != scalar_out[:rec_queries]:
+        answers = {}
+        for engine, (engine_pairs, call) in engines.items():
+            total, answers[engine] = _median_time_ns(call, reps)
+            count = len(engine_pairs)
+            rows.append(BenchRow(level, engine, count, total, total / count, reps))
+            if level <= DEFAULT_TABLE_CAP and (
+                list(answers[engine]) != answers["closed"][:count]
+            ):
                 raise InvariantViolation(
-                    f"recursion vs closed-form disagreement at level {level}"
+                    f"{engine} vs closed form disagreement at level {level}"
                 )
-            if table_rows is not None:
-                tab_out = [table_rows[a][b] for a, b in pairs]
-                if tab_out != scalar_out:
-                    raise InvariantViolation(f"table vs scalar disagreement at level {level}")
     return rows

@@ -27,34 +27,25 @@ from .algebra import (
 )
 
 
-def _on_kind(verify):
-    """A suite call on the chosen kind's algebra; split algebras start at level 1.
-
-    ``_signature`` prefers ``-n`` over ``level``; with ``-n`` given, it is
-    the only level ``_cmd_verify`` runs.
-    """
-    return lambda args, level: (
-        [] if args.split and level < 1 else verify(_signature(args, level), args)
-    )
-
-
-# suite -> (lowest level, default top level, call(args, level) -> reports,
-# expected outcome of a report). Suites run in this order.
+# suite -> (takes an algebra of the chosen kind, lowest level, default top
+# level, call(args, the algebra or the level) -> reports, expected outcome
+# of a report). Suites run in this order.
 SUITES = {
-    "twist-laws": (1, 8, lambda a, n: analysis.verify_twist_laws(n), lambda r: True),
+    "twist-laws": (False, 1, 8, lambda a, n: analysis.verify_twist_laws(n), lambda r: True),
     "algebra-laws": (
-        0, 5, _on_kind(lambda sig, a: analysis.verify_algebra_laws(sig, a.samples, a.seed)),
+        True, 0, 5, lambda a, sig: analysis.verify_algebra_laws(sig, a.samples, a.seed),
         lambda r: analysis.expected_law_holds(r.name, r.kind, r.level),
     ),
     "relations": (
-        0, 5, lambda a, n: analysis.verify_relations(n, a.samples, a.seed), lambda r: True
+        False, 0, 5, lambda a, n: analysis.verify_relations(n, a.samples, a.seed),
+        lambda r: True,
     ),
     "engines": (
-        0, 6, _on_kind(lambda sig, a: analysis.verify_engines(sig, a.samples, a.seed)),
+        True, 0, 6, lambda a, sig: analysis.verify_engines(sig, a.samples, a.seed),
         lambda r: True,
     ),
     "zero-divisors": (
-        1, 4, _on_kind(lambda sig, a: analysis.verify_zero_divisors(sig, a.budget)),
+        True, 1, 4, lambda a, sig: analysis.verify_zero_divisors(sig, a.budget),
         lambda r: analysis.expected_zero_divisor_free(r.kind, r.level),
     ),
 }
@@ -67,36 +58,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-n", "--level", type=int, help="algebra level (dimension 2**n)")
-    common.add_argument(
-        "--split", action="store_true", help="use the split variant (top parameter +1)"
-    )
-    common.add_argument(
-        "--gamma",
-        help="explicit comma list of +-1 doubling parameters (doubling engine only)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
-    common.add_argument("--out", help="write output here instead of stdout")
-    common.add_argument(
-        "--cap",
-        type=int,
-        default=analysis.DEFAULT_TABLE_CAP,
-        help="table level cap (memory guard)",
-    )
-    common.add_argument(
-        "--binary", action="store_true", help="print basis indices in binary"
-    )
+# Flags shared between commands: name -> (option strings, add_argument keywords).
+_SHARED_FLAGS = {
+    "level": (("-n", "--level"), dict(type=int, help="algebra level (dimension 2**n)")),
+    "split": (
+        ("--split",),
+        dict(action="store_true", help="use the split variant (top parameter +1)"),
+    ),
+    "gamma": (
+        ("--gamma",),
+        dict(help="explicit comma list of +-1 doubling parameters (doubling engine only)"),
+    ),
+    "seed": (("--seed",), dict(type=int, default=0, help="RNG seed for sampling")),
+    "out": (("--out",), dict(help="write output here instead of stdout")),
+    "binary": (
+        ("--binary",), dict(action="store_true", help="print basis indices in binary")
+    ),
+}
 
+
+def _build_parser() -> _Parser:
     parser = _Parser(prog="cdtwist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sign", parents=[common], help="sign of one basis product")
+    def command(name, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            options, keywords = _SHARED_FLAGS[flag]
+            p.add_argument(*options, **keywords)
+        return p
+
+    p = command(
+        "sign", "sign of one basis product", "level", "split", "gamma", "out", "binary"
+    )
     p.add_argument("A", type=int)
     p.add_argument("B", type=int)
 
-    p = sub.add_parser("mul", parents=[common], help="multiply two elements")
+    p = command("mul", "multiply two elements", "level", "split", "gamma", "out")
     p.add_argument("x", help="comma-separated rational coefficients")
     p.add_argument("y", help="comma-separated rational coefficients")
     p.add_argument(
@@ -105,12 +103,20 @@ def _build_parser() -> _Parser:
         help="defaults to 'both' below level 7 (cross-validation), 'twist' above",
     )
 
-    p = sub.add_parser("table", parents=[common], help="emit the multiplication table")
+    p = command(
+        "table", "emit the multiplication table", "level", "split", "gamma", "out", "binary"
+    )
     p.add_argument(
         "--format", choices=("json", "csv", "markdown"), default="json"
     )
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=analysis.DEFAULT_TABLE_CAP,
+        help="table level cap (memory guard)",
+    )
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = command("verify", "run verification suites", "level", "split", "seed", "out")
     p.add_argument(
         "--suite",
         action="append",
@@ -123,7 +129,7 @@ def _build_parser() -> _Parser:
         "--budget", type=int, default=1 << 17, help="zero-divisor candidate budget"
     )
 
-    p = sub.add_parser("bench", parents=[common], help="time the sign engines")
+    p = command("bench", "time the sign engines", "seed", "out")
     p.add_argument(
         "--levels", default="8,12,16,20,24", help="comma list of levels to time"
     )
@@ -133,7 +139,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _signature(args, default_level=None) -> AlgebraSignature:
+def _signature(args) -> AlgebraSignature:
     if args.gamma is not None:
         if args.split:
             raise ValueError("--gamma and --split are mutually exclusive")
@@ -152,12 +158,11 @@ def _signature(args, default_level=None) -> AlgebraSignature:
                 f"--level {args.level} conflicts with {sig.level} gamma entries"
             )
         return sig
-    level = args.level if args.level is not None else default_level
-    if level is None:
+    if args.level is None:
         raise ValueError("a level is required (-n/--level)")
     if args.split:
-        return AlgebraSignature.split(level)
-    return AlgebraSignature.standard(level)
+        return AlgebraSignature.split(args.level)
+    return AlgebraSignature.standard(args.level)
 
 
 @contextlib.contextmanager
@@ -195,14 +200,8 @@ def _cmd_mul(args) -> int:
             engine = "both"
         else:
             engine = "twist"
-    if engine in ("twist", "both") and not sig.has_closed_form:
-        raise ValueError(f"twist engine unavailable: no closed form for {sig}")
-    if engine == "twist":
-        product = mul_twist(x, y)
-    elif engine == "doubling":
-        product = mul_doubling(x, y)
-    else:
-        product = mul_twist(x, y)
+    product = (mul_doubling if engine == "doubling" else mul_twist)(x, y)
+    if engine == "both":
         check = mul_doubling(x, y)
         if product != check:
             raise InvariantViolation(
@@ -249,19 +248,22 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.gamma is not None:
-        raise ValueError("verification suites need a closed-form kind (standard/split)")
-
+    kind = AlgebraSignature.split if args.split else AlgebraSignature.standard
     lines = []  # (report, expected)
-    for name, (lowest, top, call, expected) in SUITES.items():
-        if args.suite and name not in args.suite:
+    for name, (on_algebra, lowest, top, call, expected) in SUITES.items():
+        # the other suites' reports do not depend on the kind
+        if (args.suite and name not in args.suite) or (args.split and not on_algebra):
             continue
+        lowest = max(lowest, int(args.split))  # split algebras start at level 1
         if args.level is not None:
-            levels = [args.level]
-        else:
-            levels = range(lowest, (top if args.n_max is None else args.n_max) + 1)
-        for level in levels:
-            lines += [(report, expected(report)) for report in call(args, level)]
+            lowest, top = max(lowest, args.level), args.level
+        elif args.n_max is not None:
+            top = args.n_max
+        for level in range(lowest, top + 1):
+            reports = call(args, kind(level) if on_algebra else level)
+            lines += [(report, expected(report)) for report in reports]
+    if not lines:
+        raise ValueError("no property selected (check --suite, -n, --n-max and --split)")
 
     all_ok = True
     with _output(args) as out:

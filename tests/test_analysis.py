@@ -266,7 +266,7 @@ class TestBenchmark:
             assert d["per_query_ns"] == d["total_ns"] / d["queries"]
 
     def test_table_engine_skipped_above_cap(self):
-        rows = benchmark_engines([14], queries=64, seed=0, reps=1, check_max_level=12)
+        rows = benchmark_engines([14], queries=64, seed=0, reps=1)
         assert not [r for r in rows if r.engine == "table_lookup"]
 
     def test_bad_level(self):
@@ -281,9 +281,16 @@ class TestBenchmark:
         for A in range(64):
             for B in range(64):
                 twist_recursive(A, B)
-        warm = twist_recursive.cache_info().currsize
+        warm = twist_recursive.cache_info()
         benchmark_engines([3], queries=16, reps=1)
-        assert twist_recursive.cache_info().currsize >= warm
+        assert twist_recursive.cache_info() == warm
+
+    def test_checks_the_answers_it_timed(self, monkeypatch):
+        # the cold recursion that is timed peels through analysis._peel
+        right = analysis._peel
+        monkeypatch.setattr(analysis, "_peel", lambda *a, **k: right(*a, **k) ^ 1)
+        with pytest.raises(InvariantViolation, match="recursive_memo vs closed form"):
+            benchmark_engines([4], queries=64, reps=1)
 
 
 class TestReportSerialization:

@@ -91,6 +91,13 @@ class TestMul:
         code, _, err = run(capsys, "mul", "-n", "2", "0,1", "0,1,0,0")
         assert code == 1
 
+    def test_twist_engine_needs_a_closed_form(self, capsys):
+        code, out, err = run(
+            capsys, "mul", "--gamma", "+1,+1", "--engine", "twist", "0,1,0,0", "0,1,0,0"
+        )
+        assert code == 1 and out == ""
+        assert "closed" in err
+
 
 class TestTable:
     def test_json_schema(self, capsys):
@@ -261,6 +268,21 @@ class TestVerify:
         assert record["witness"] == [[1, 1], [1, -1]]
 
 
+    def test_level_zero_runs_the_suites_that_start_there(self, capsys):
+        code, out, _ = run(capsys, "verify", "-n", "0", "--samples", "20")
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert records and all(r["level"] == 0 and r["ok"] for r in records)
+
+    @pytest.mark.parametrize(
+        "selection",
+        [("--suite", "relations"), ("-n", "0", "--suite", "engines")],
+    )
+    def test_empty_split_selection_is_an_error(self, capsys, selection):
+        code, out, err = run(capsys, "verify", "--split", *selection)
+        assert code == 1 and out == ""
+        assert "no property selected" in err
+
     def test_truncated_zero_divisor_search_fails(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "zero-divisors", "-n", "3", "--budget", "0"
@@ -273,6 +295,8 @@ class TestVerify:
 
 # The fixtures are the stdout of `cdtwist verify --n-max 4 --samples 20 [--split]`.
 # Rewrite them from that command only when a change of output is intended.
+# The split run has no twist-laws or relations records: those reports do
+# not depend on the kind.
 @pytest.mark.parametrize(
     "fixture, flags",
     [("verify_n4_s20.jsonl", ()), ("verify_n4_s20_split.jsonl", ("--split",))],
@@ -327,3 +351,33 @@ class TestUsageErrors:
         code, _, err = run(capsys, "mul", "--gamma=-1,0", "0,1", "0,1")
         assert code == 1
         assert "doubling parameter" in err
+
+
+# A base invocation of each command that exits 0, and the flags each command
+# does not read.
+_BASE_ARGV = {
+    "sign": ("-n", "3", "5", "6"),
+    "mul": ("-n", "1", "0,1", "0,1"),
+    "table": ("-n", "1"),
+    "verify": ("--suite", "zero-divisors", "-n", "1"),
+    "bench": ("--levels", "2", "--queries", "4", "--reps", "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("sign", "--seed=1"), ("sign", "--cap=3"),
+        ("mul", "--seed=1"), ("mul", "--cap=3"), ("mul", "--binary"),
+        ("table", "--seed=1"),
+        ("verify", "--gamma=-1"), ("verify", "--cap=3"), ("verify", "--binary"),
+        ("bench", "-n3"), ("bench", "--split"), ("bench", "--gamma=-1"),
+        ("bench", "--cap=3"), ("bench", "--binary"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_rejected(capsys, command, flag):
+    code, _, _ = run(capsys, command, *_BASE_ARGV[command])
+    assert code == 0
+    code, out, err = run(capsys, command, flag, *_BASE_ARGV[command])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
