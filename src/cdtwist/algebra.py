@@ -28,6 +28,7 @@ idempotently from deterministic inputs.
 from __future__ import annotations
 
 import numbers
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,22 +247,23 @@ def basis_element(signature: AlgebraSignature, index: int) -> Element:
     return Element(signature, coeffs)
 
 
-def random_element(signature, rng, low: int = -9, high: int = 9) -> Element:
-    """Element with integer coefficients drawn uniformly from [low, high]."""
+def random_element(signature, rng) -> Element:
+    """Element with integer coefficients drawn uniformly from [-9, 9]."""
     return Element(
-        signature, tuple(rng.randint(low, high) for _ in range(signature.dimension))
+        signature, tuple(rng.randint(-9, 9) for _ in range(signature.dimension))
     )
+
+
+def _closed_form(signature: AlgebraSignature):
+    """The scalar closed-form twist of ``signature``: ``twist`` or ``split_twist``."""
+    if not signature.has_closed_form:
+        raise ValueError(f"no closed-form twist for this signature: {signature}")
+    return twist if signature.is_standard else split_twist
 
 
 def basis_mul(A: int, B: int, signature: AlgebraSignature) -> SignedIndex:
     """Product of two basis elements: e_A * e_B = sign * e_{A ^ B}."""
-    if not signature.has_closed_form:
-        raise ValueError(f"no closed-form twist for this signature: {signature}")
-    n = signature.level
-    if signature.is_standard:
-        exponent = twist(A, B, n)
-    else:
-        exponent = split_twist(A, B, n)
+    exponent = _closed_form(signature)(A, B, signature.level)
     return SignedIndex(-1 if exponent else 1, A ^ B)
 
 
@@ -277,7 +279,7 @@ def _twist_table(signature: AlgebraSignature) -> list[bytes]:
     if table is None:
         n = signature.level
         matrix = twist_matrix(n, split=not signature.is_standard)
-        fn = twist if signature.is_standard else split_twist
+        fn = _closed_form(signature)
         rng = random.Random(n)
         for A, B in ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(256)):
             if matrix[A, B] != fn(A, B, n):
@@ -296,11 +298,9 @@ def mul_twist(x: Element, y: Element) -> Element:
     """
     x._require_same_signature(y)
     sig = x.signature
-    if not sig.has_closed_form:
-        raise ValueError(f"no closed-form twist for this signature: {sig}")
+    fn = _closed_form(sig)
     n = sig.level
     table = _twist_table(sig) if n <= _TWIST_TABLE_CACHE_MAX_LEVEL else None
-    fn = twist if sig.is_standard else split_twist
     ys = [(B, yb) for B, yb in enumerate(y.coeffs) if yb]
     out = [0] * sig.dimension
     for A, xa in enumerate(x.coeffs):
@@ -316,47 +316,23 @@ def mul_twist(x: Element, y: Element) -> Element:
 
 
 def _conj_tuple(v: tuple) -> tuple:
-    return (v[0],) + tuple(-c for c in v[1:])
+    return (v[0], *map(operator.neg, v[1:]))
 
 
 def _mul_rec(x: tuple, y: tuple, gammas: tuple[int, ...]) -> tuple:
     # (a,b)(c,d) = (ac + g * conj(d) b, da + b conj(c)) with g = gammas[-1].
-    # Sub-products with an all-zero factor are pruned and zero halves are
-    # reused instead of added, which makes sparse operands cheap.
-    n = len(gammas)
-    if n == 0:
+    if not gammas:
         return (x[0] * y[0],)
-    h = 1 << (n - 1)
-    g = gammas[n - 1]
-    sub = gammas[: n - 1]
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
-    a_nz, b_nz = any(a), any(b)
-    c_nz, d_nz = any(c), any(d)
-    ac = _mul_rec(a, c, sub) if a_nz and c_nz else None
-    db = _mul_rec(_conj_tuple(d), b, sub) if d_nz and b_nz else None
-    da = _mul_rec(d, a, sub) if d_nz and a_nz else None
-    bc = _mul_rec(b, _conj_tuple(c), sub) if b_nz and c_nz else None
-    if ac is None:
-        if db is None:
-            low = (0,) * h
-        elif g == -1:
-            low = tuple(-q for q in db)
-        else:
-            low = db
-    elif db is None:
-        low = ac
-    elif g == -1:
-        low = tuple(p - q for p, q in zip(ac, db))
-    else:
-        low = tuple(p + q for p, q in zip(ac, db))
-    if da is None:
-        high = (0,) * h if bc is None else bc
-    elif bc is None:
-        high = da
-    else:
-        high = tuple(p + q for p, q in zip(da, bc))
-    return low + high
+    # A zero operand gives a zero product without recursing; a sparse
+    # level-14 operand would otherwise unfold all 4**14 leaf products.
+    if not (any(x) and any(y)):
+        return (0,) * len(x)
+    h, sub = len(x) // 2, gammas[:-1]
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    add_db = operator.sub if gammas[-1] == -1 else operator.add
+    low = map(add_db, _mul_rec(a, c, sub), _mul_rec(_conj_tuple(d), b, sub))
+    high = map(operator.add, _mul_rec(d, a, sub), _mul_rec(b, _conj_tuple(c), sub))
+    return (*low, *high)
 
 
 def mul_doubling(x: Element, y: Element) -> Element:

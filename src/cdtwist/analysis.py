@@ -83,8 +83,6 @@ def _jsonable(value):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
     return value
 
 
@@ -351,6 +349,8 @@ _LAWS = {
 def _samples_for_level(samples: int, level: int) -> int:
     # Dense doubling products cost O(4**n); shrink the sample count above
     # the exhaustive-triple cap so sweeps stay desk-scale.
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if level <= BASIS_TRIPLE_CAP:
         return samples
     return max(8, samples >> (2 * (level - BASIS_TRIPLE_CAP)))
@@ -659,6 +659,8 @@ def benchmark_engines(
         raise ValueError("reps must be >= 1")
     if queries < 1:
         raise ValueError("queries must be >= 1")
+    if not levels:
+        raise ValueError("no benchmark level given")
     rows: list[BenchRow] = []
     for level in levels:
         if level < 1:

@@ -224,6 +224,134 @@ class TestMulDoubling:
             assert mul_doubling(e, e) == g * unit(gen)
 
 
+# The doubling recursion as written before it became the plain formula:
+# sub-products with an all-zero factor are pruned and zero halves reused.
+# Kept word for word (only the names differ) as the reference that
+# mul_doubling must reproduce exactly. Values, not types, are compared: the
+# formula multiplies zero halves down to level 0, where 0 * Fraction gives
+# Fraction(0) and the pruned form keeps an int 0.
+def _pruned_conj_tuple(v: tuple) -> tuple:
+    return (v[0],) + tuple(-c for c in v[1:])
+
+
+def _pruned_mul_rec(x: tuple, y: tuple, gammas: tuple[int, ...]) -> tuple:
+    # (a,b)(c,d) = (ac + g * conj(d) b, da + b conj(c)) with g = gammas[-1].
+    # Sub-products with an all-zero factor are pruned and zero halves are
+    # reused instead of added, which makes sparse operands cheap.
+    n = len(gammas)
+    if n == 0:
+        return (x[0] * y[0],)
+    h = 1 << (n - 1)
+    g = gammas[n - 1]
+    sub = gammas[: n - 1]
+    a, b = x[:h], x[h:]
+    c, d = y[:h], y[h:]
+    a_nz, b_nz = any(a), any(b)
+    c_nz, d_nz = any(c), any(d)
+    ac = _pruned_mul_rec(a, c, sub) if a_nz and c_nz else None
+    db = _pruned_mul_rec(_pruned_conj_tuple(d), b, sub) if d_nz and b_nz else None
+    da = _pruned_mul_rec(d, a, sub) if d_nz and a_nz else None
+    bc = _pruned_mul_rec(b, _pruned_conj_tuple(c), sub) if b_nz and c_nz else None
+    if ac is None:
+        if db is None:
+            low = (0,) * h
+        elif g == -1:
+            low = tuple(-q for q in db)
+        else:
+            low = db
+    elif db is None:
+        low = ac
+    elif g == -1:
+        low = tuple(p - q for p, q in zip(ac, db))
+    else:
+        low = tuple(p + q for p, q in zip(ac, db))
+    if da is None:
+        high = (0,) * h if bc is None else bc
+    elif bc is None:
+        high = da
+    else:
+        high = tuple(p + q for p, q in zip(da, bc))
+    return low + high
+
+
+# Three fixed general parameter vectors; level n takes the first n entries.
+GENERAL_GAMMAS = {
+    "all-hyperbolic": (1,) * 14,
+    "alternating": (1, -1) * 7,
+    "irregular": (-1, 1, 1, -1, -1, 1, -1, 1, 1, 1, -1, -1, 1, -1),
+}
+KINDS = ["standard", "split", *GENERAL_GAMMAS]
+
+
+def _signature_of(kind: str, n: int) -> AlgebraSignature:
+    if kind == "standard":
+        return STD(n)
+    if kind == "split":
+        return SPL(n)
+    return AlgebraSignature.from_gammas(GENERAL_GAMMAS[kind][:n])
+
+
+def _fraction_element(sig, rng) -> Element:
+    return Element(
+        sig, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(sig.dimension)]
+    )
+
+
+def _sparse_element(sig, rng, terms: int, fractions: bool) -> Element:
+    coeffs = [0] * sig.dimension
+    for index in rng.sample(range(sig.dimension), terms):
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        coeffs[index] = Fraction(c, rng.randint(1, 4)) if fractions else c
+    return Element(sig, coeffs)
+
+
+def _assert_matches_pruned(x: Element, y: Element) -> None:
+    want = _pruned_mul_rec(x.coeffs, y.coeffs, x.signature.gammas)
+    assert mul_doubling(x, y).coeffs == want, x.signature
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestMulDoublingMatchesPrunedRecursion:
+    def test_dense_levels_0_to_8(self, kind):
+        rng = random.Random(f"dense:{kind}")
+        for n in range(kind == "split", 9):
+            sig = _signature_of(kind, n)
+            for i in range(3 if n <= 6 else 1):
+                draw = _fraction_element if i == 1 else random_element
+                _assert_matches_pruned(draw(sig, rng), draw(sig, rng))
+
+    def test_all_basis_pairs_levels_4_and_5(self, kind):
+        for n in (4, 5):
+            sig = _signature_of(kind, n)
+            es = [basis_element(sig, A) for A in range(sig.dimension)]
+            for x in es:
+                for y in es:
+                    _assert_matches_pruned(x, y)
+
+    def test_zero_high_half(self, kind):
+        # operands embedded from the level below, as the relations suite draws them
+        rng = random.Random(f"low:{kind}")
+        for n in range(1, 7):
+            sig = _signature_of(kind, n)
+            pad = (0,) * (sig.dimension // 2)
+            inner = _signature_of("standard", n - 1)
+            for draw in (random_element, _fraction_element):
+                x = Element(sig, draw(inner, rng).coeffs + pad)
+                y = Element(sig, draw(inner, rng).coeffs + pad)
+                _assert_matches_pruned(x, y)
+                _assert_matches_pruned(x, Element(sig, pad + y.coeffs[: len(pad)]))
+
+    def test_sparse_levels_8_to_14(self, kind):
+        rng = random.Random(f"sparse:{kind}")
+        for n in range(8, 15):
+            sig = _signature_of(kind, n)
+            for fractions in (False, True):
+                terms = 2 + (2 * n + fractions) % 7  # cycles through 2..8
+                x = _sparse_element(sig, rng, terms, fractions)
+                y = _sparse_element(sig, rng, terms, fractions)
+                _assert_matches_pruned(x, y)
+
+
 class TestConjugation:
     def test_real_part_fixed(self):
         assert conjugate(unit(STD(3))) == unit(STD(3))

@@ -184,6 +184,11 @@ class TestRelations:
         b = verify_relations(2, samples=10, seed=9)
         assert a == b
 
+    def test_no_samples_is_an_error(self):
+        # with nothing drawn, every relation would report holds with checked 0
+        with pytest.raises(ValueError, match="samples"):
+            verify_relations(2, samples=0)
+
 
 class TestEngines:
     @pytest.mark.parametrize("sig", [STD(0), STD(3), SPL(1), SPL(4)])
@@ -276,6 +281,10 @@ class TestBenchmark:
     def test_no_queries(self):
         with pytest.raises(ValueError, match="queries"):
             benchmark_engines([3], queries=0)
+
+    def test_no_levels(self):
+        with pytest.raises(ValueError, match="level"):
+            benchmark_engines([])
 
     def test_leaves_the_recursion_memo_warm(self):
         for A in range(64):

@@ -283,6 +283,13 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "no property selected" in err
 
+    def test_no_samples_is_an_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "relations", "-n", "2", "--samples", "0"
+        )
+        assert code == 1 and out == ""
+        assert "samples" in err
+
     def test_truncated_zero_divisor_search_fails(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "zero-divisors", "-n", "3", "--budget", "0"
@@ -331,6 +338,11 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--levels", "3", "--queries", "0")
         assert code == 1 and out == ""
         assert "queries" in err
+
+    def test_empty_level_list_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--levels", ",")
+        assert code == 1 and out == ""
+        assert "level" in err
 
 
 class TestUsageErrors:
