@@ -12,7 +12,10 @@ Two multiplication engines are provided and must agree wherever both are
 defined:
 
 * ``mul_twist`` expands the product bilinearly over basis pairs using the
-  closed-form twist exponents (standard and split signatures only).
+  closed-form twist exponents (standard and split signatures only). It
+  reads one standard sign table and gets the split signs from it by the
+  top-bit reduction; coefficients are multiplied as Python ints over one
+  common denominator per operand.
 * ``mul_doubling`` splits each operand into (low, high) halves and
   recurses with the level's doubling parameter, bottoming out at real
   multiplication. It accepts arbitrary +-1 parameter vectors and serves
@@ -21,12 +24,15 @@ defined:
 Coefficients must be exact rationals (int or Fraction); floats are
 rejected so that engine-equivalence checks stay bit-exact. Elements are
 immutable values and every operation here is pure, so everything is safe
-to share across threads; the small sign-table caches are filled
-idempotently from deterministic inputs.
+to share across threads; the one sign-table cache only ever holds a
+checked table from deterministic inputs, so a concurrent refill is
+harmless.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 import operator
 import random
@@ -139,6 +145,10 @@ class SignedIndex(NamedTuple):
     index: int
 
 
+# The common coefficient types, accepted without a per-coefficient check.
+_EXACT_TYPES = frozenset({int, Fraction})
+
+
 def _check_scalar(c):
     # bool is an int subclass; exclude it to keep coefficient vectors sane.
     if isinstance(c, bool) or not isinstance(c, numbers.Rational):
@@ -166,8 +176,9 @@ class Element:
                 f"need {signature.dimension} coefficients for level "
                 f"{signature.level}, got {len(coeffs)}"
             )
-        for c in coeffs:
-            _check_scalar(c)
+        if not _EXACT_TYPES.issuperset(map(type, coeffs)):
+            for c in coeffs:
+                _check_scalar(c)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -267,51 +278,93 @@ def basis_mul(A: int, B: int, signature: AlgebraSignature) -> SignedIndex:
     return SignedIndex(-1 if exponent else 1, A ^ B)
 
 
-# Block-doubling twist exponent tables for the bilinear engine, one bytes-row
-# per first index. Cached only for small levels; 4**8 entries = 64 KiB each.
-_TWIST_TABLE_CACHE_MAX_LEVEL = 8
-_twist_tables: dict[tuple[int, bool], list[bytes]] = {}
+# The standard twist exponent table, one bytes row per first index. The
+# standard twist does not depend on the level (padding it upward changes
+# nothing), so the level-n table is the top-left 2**n block of any larger
+# one: the cache holds one table, at the highest level used so far, and
+# serves every level up to it. Levels above the cap take the scalar closed
+# form; 4**9 entries = 256 KiB.
+_TWIST_TABLE_CACHE_MAX_LEVEL = 9
+_twist_tables: dict[int, list[bytes]] = {}
 
 
-def _twist_table(signature: AlgebraSignature) -> list[bytes]:
-    key = (signature.level, signature.is_standard)
-    table = _twist_tables.get(key)
-    if table is None:
-        n = signature.level
-        matrix = twist_matrix(n, split=not signature.is_standard)
-        fn = _closed_form(signature)
-        rng = random.Random(n)
-        for A, B in ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(256)):
-            if matrix[A, B] != fn(A, B, n):
-                raise InvariantViolation(
-                    f"block-doubling table != closed form at ({A}, {B}) for {signature}"
-                )
-        table = _twist_tables[key] = [row.tobytes() for row in matrix]
+def _twist_table(level: int) -> list[bytes]:
+    for cached_level, table in list(_twist_tables.items()):
+        if cached_level >= level:
+            return table
+    table = [row.tobytes() for row in twist_matrix(level)]
+    # The split twist is the standard one XOR the product of the two top
+    # bits; check both the table and that reduction against the closed forms.
+    top = level - 1
+    rng = random.Random(level)
+    for A, B in ((rng.getrandbits(level), rng.getrandbits(level)) for _ in range(256)):
+        t = table[A][B]
+        if t != twist(A, B, level) or (
+            level and t ^ (A >> top & B >> top & 1) != split_twist(A, B, level)
+        ):
+            raise InvariantViolation(
+                f"block-doubling table != closed form at ({A}, {B}) for level {level}"
+            )
+    _twist_tables.clear()
+    _twist_tables[level] = table
     return table
+
+
+def _common_denominator(coeffs) -> int | None:
+    """lcm of the nonzero coefficients' denominators; None if those are all ints."""
+    denominators = {c.denominator for c in filter(None, coeffs) if type(c) is not int}
+    return math.lcm(*denominators) if denominators else None
+
+
+def _scaled(c, d: int | None) -> int:
+    """``c`` times its operand's common denominator ``d``, as a Python int."""
+    return c if d is None else int(c.numerator) * (d // c.denominator)
 
 
 def mul_twist(x: Element, y: Element) -> Element:
     """Bilinear product over basis pairs with closed-form signs.
 
-    Cost is O(4**n) exact scalar operations on dense operands; zero
-    coefficients are skipped.
+    Every sign comes from the standard twist: the split twist is the
+    standard one XOR the product of the two top bits, so a row whose first
+    index has the top bit set takes y's top half negated. Up to level 9 the
+    signs are read from the cached table, above it from scalar ``twist``.
+    Coefficients are brought to one common denominator per operand and
+    multiplied as Python ints; the sums are divided back once. Cost is
+    O(4**n) integer operations on dense operands; zero coefficients are
+    skipped.
     """
     x._require_same_signature(y)
     sig = x.signature
-    fn = _closed_form(sig)
+    _closed_form(sig)  # raises for a signature without one
     n = sig.level
-    table = _twist_table(sig) if n <= _TWIST_TABLE_CACHE_MAX_LEVEL else None
-    ys = [(B, yb) for B, yb in enumerate(y.coeffs) if yb]
+    table = _twist_table(n) if n <= _TWIST_TABLE_CACHE_MAX_LEVEL else None
+    dx, dy = _common_denominator(x.coeffs), _common_denominator(y.coeffs)
+    # y's nonzero terms below the top bit, then (the same iterator, resumed)
+    # at or above it.
+    half = sig.dimension >> 1
+    ys = enumerate(y.coeffs)
+    low = [(B, _scaled(yb, dy)) for B, yb in itertools.islice(ys, half) if yb]
+    high = [(B, _scaled(yb, dy)) for B, yb in ys if yb]
+    flip_top = sig.is_split
     out = [0] * sig.dimension
     for A, xa in enumerate(x.coeffs):
         if not xa:
             continue
-        row = table[A] if table else {B: fn(A, B, n) for B, _ in ys}
-        for B, yb in ys:
-            if row[B]:
-                out[A ^ B] -= xa * yb
-            else:
-                out[A ^ B] += xa * yb
+        xa = _scaled(xa, dx)
+        if table:
+            row = table[A]
+        else:
+            row = {B: twist(A, B, n) for B, _ in itertools.chain(low, high)}
+        for xs, terms in ((xa, low), (-xa if flip_top and A >= half else xa, high)):
+            for B, yb in terms:
+                if row[B]:
+                    out[A ^ B] -= xs * yb
+                else:
+                    out[A ^ B] += xs * yb
+    if dx or dy:
+        d = (dx or 1) * (dy or 1)
+        for C in itertools.compress(range(len(out)), out):
+            out[C] = Fraction(out[C], d)
     return Element(sig, out)
 
 

@@ -348,12 +348,13 @@ _LAWS = {
 
 def _samples_for_level(samples: int, level: int) -> int:
     # Dense doubling products cost O(4**n); shrink the sample count above
-    # the exhaustive-triple cap so sweeps stay desk-scale.
+    # the exhaustive-triple cap so sweeps stay desk-scale. The floor of 8
+    # never raises a smaller request.
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if level <= BASIS_TRIPLE_CAP:
         return samples
-    return max(8, samples >> (2 * (level - BASIS_TRIPLE_CAP)))
+    return max(min(samples, 8), samples >> (2 * (level - BASIS_TRIPLE_CAP)))
 
 
 def _first_failing_tuple(

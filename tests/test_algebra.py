@@ -1,8 +1,10 @@
 """Tests for signatures, elements, and the two multiplication engines."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,17 @@ class TestElement:
     def test_fractions_allowed(self):
         x = Element(STD(1), (Fraction(1, 2), 3))
         assert x.coeffs == (Fraction(1, 2), 3)
+
+    @pytest.mark.parametrize(
+        "c", [True, 1.0, np.float64(1), Decimal(1), 1j, "1"], ids=repr
+    )
+    def test_rejects_non_rationals(self, c):
+        with pytest.raises(ValueError, match="exact rationals"):
+            Element(STD(1), (0, c))
+
+    @pytest.mark.parametrize("c", [7, Fraction(-3, 4), np.int64(7)], ids=repr)
+    def test_accepts_exact_rationals(self, c):
+        assert Element(STD(1), (c, 0)).coeffs == (c, 0)
 
     def test_immutable(self):
         x = unit(STD(2))
@@ -169,6 +182,103 @@ class TestMulTwist:
         monkeypatch.setattr(algebra, "_twist_tables", {})
         with pytest.raises(InvariantViolation, match="block-doubling"):
             mul_twist(unit(sig), unit(sig))
+
+
+def _assert_kernel_matches_doubling(x: Element, y: Element) -> None:
+    got = mul_twist(x, y)
+    assert got == mul_doubling(x, y), x.signature
+    assert {type(c) for c in got.coeffs} <= {int, Fraction}
+    assert len(algebra._twist_tables) <= 1
+
+
+def _both_kinds(n: int):
+    return (STD(n), SPL(n)) if n >= 1 else (STD(n),)
+
+
+class TestMulTwistKernel:
+    """The integer kernel of mul_twist against the doubling oracle."""
+
+    def test_fractions_with_denominator_one(self):
+        for sig in _both_kinds(2):
+            x = Element(sig, (Fraction(3), 0, Fraction(-2), 1))
+            y = Element(sig, (1, Fraction(5), 0, Fraction(7, 1)))
+            _assert_kernel_matches_doubling(x, y)
+            _assert_kernel_matches_doubling(x, x)
+
+    def test_mixed_denominators(self):
+        rng = random.Random("mixed")
+        for sig in _both_kinds(4):
+            for _ in range(5):
+                x = Element(sig, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12)))
+                                  for _ in range(sig.dimension)])
+                y = random_element(sig, rng)
+                _assert_kernel_matches_doubling(x, y)
+                _assert_kernel_matches_doubling(y, x)
+
+    def test_huge_coefficients(self):
+        rng = random.Random("huge")
+        for sig in _both_kinds(5):
+            x = Element(sig, [rng.randint(-10**30, 10**30) for _ in range(sig.dimension)])
+            y = Element(sig, [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+                              for _ in range(sig.dimension)])
+            _assert_kernel_matches_doubling(x, x)
+            _assert_kernel_matches_doubling(x, y)
+
+    def test_zero_operands(self):
+        for n in range(0, 5):
+            for sig in _both_kinds(n):
+                z = Element(sig, (0,) * sig.dimension)
+                x = random_element(sig, random.Random(n))
+                for a, b in ((z, z), (z, x), (x, z)):
+                    _assert_kernel_matches_doubling(a, b)
+
+    def test_levels_0_and_1(self):
+        rng = random.Random("low")
+        for n in (0, 1):
+            for sig in _both_kinds(n):
+                for draw in (random_element, _fraction_element):
+                    for _ in range(10):
+                        _assert_kernel_matches_doubling(draw(sig, rng), draw(sig, rng))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dense_levels_1_to_9(self, n):
+        rng = random.Random(f"dense:{n}")
+        for sig in _both_kinds(n):
+            for draw in (random_element, _fraction_element):
+                _assert_kernel_matches_doubling(draw(sig, rng), draw(sig, rng))
+
+    def test_sparse_levels_10_to_12_take_the_scalar_path(self):
+        rng = random.Random("sparse")
+        for n in (10, 11, 12):
+            for sig in _both_kinds(n):
+                for fractions in (False, True):
+                    x = _sparse_element(sig, rng, 6, fractions)
+                    y = _sparse_element(sig, rng, 5, fractions)
+                    algebra._twist_tables.clear()
+                    _assert_kernel_matches_doubling(x, y)
+                    assert not algebra._twist_tables
+
+    def test_small_levels_reuse_the_level_9_table(self):
+        rng = random.Random("reuse")
+        big = SPL(9)
+        mul_twist(random_element(big, rng), random_element(big, rng))
+        assert list(algebra._twist_tables) == [9]
+        table = algebra._twist_tables[9]
+        for n in range(0, 6):
+            for sig in _both_kinds(n):
+                es = [basis_element(sig, A) for A in range(sig.dimension)]
+                for x in es:
+                    for y in es:
+                        _assert_kernel_matches_doubling(x, y)
+        assert list(algebra._twist_tables) == [9]
+        assert algebra._twist_tables[9] is table
+
+    def test_a_higher_level_replaces_the_table(self):
+        algebra._twist_tables.clear()
+        for n in (3, 2, 5, 4):
+            mul_twist(unit(STD(n)), unit(STD(n)))
+            assert len(algebra._twist_tables) == 1
+        assert list(algebra._twist_tables) == [5]
 
 
 class TestMulDoubling:

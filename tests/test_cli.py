@@ -91,6 +91,27 @@ class TestMul:
         code, _, err = run(capsys, "mul", "-n", "2", "0,1", "0,1,0,0")
         assert code == 1
 
+    # Golden stdout on Fraction operands with mixed denominators, and on a
+    # product whose imaginary part cancels to zero. Change it only when a
+    # change of output is intended.
+    @pytest.mark.parametrize(
+        "flags, y, want",
+        [
+            ((), "0,1/3,-2,3/5,0,4,-1/2,1",
+             "31/6,299/60,-659/120,1229/180,127/10,-17/12,-313/180,-13/12\n"),
+            (("--split", "--engine", "twist"), "0,1/3,-2,3/5,0,4,-1/2,1",
+             "-1/2,-77/20,851/120,959/180,127/10,-17/12,-313/180,-13/12\n"),
+            (("--engine", "twist"), "1/2,3,-2/3,0,-5/4,1,0,-7/6",
+             "1961/144,0,0,0,0,0,0,0\n"),
+            (("--split", "--engine", "twist"), "1/2,3,-2/3,0,-5/4,1,0,-7/6",
+             "277/48,0,0,0,0,0,0,0\n"),
+        ],
+    )
+    def test_fraction_output_is_golden(self, capsys, flags, y, want):
+        code, out, _ = run(capsys, "mul", "-n", "3", *flags, "1/2,-3,2/3,0,5/4,-1,0,7/6", y)
+        assert code == 0
+        assert out == want
+
     def test_twist_engine_needs_a_closed_form(self, capsys):
         code, out, err = run(
             capsys, "mul", "--gamma", "+1,+1", "--engine", "twist", "0,1,0,0", "0,1,0,0"
@@ -289,6 +310,14 @@ class TestVerify:
         )
         assert code == 1 and out == ""
         assert "samples" in err
+
+    def test_samples_below_the_floor_are_kept(self, capsys):
+        # above level 5 the sample count shrinks to at least 8, but never grows
+        code, out, _ = run(
+            capsys, "verify", "--suite", "engines", "-n", "6", "--samples", "1"
+        )
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["checked"] == 4096 + 1
 
     def test_truncated_zero_divisor_search_fails(self, capsys):
         code, out, _ = run(
