@@ -17,16 +17,16 @@ defined:
   top-bit reduction; coefficients are multiplied as Python ints over one
   common denominator per operand.
 * ``mul_doubling`` splits each operand into (low, high) halves and
-  recurses with the level's doubling parameter, bottoming out at real
-  multiplication. It accepts arbitrary +-1 parameter vectors and serves
+  recurses with the level's doubling parameter, ending at the scalar
+  (level-1) step. It accepts arbitrary +-1 parameter vectors and serves
   as the independent oracle.
 
 Coefficients must be exact rationals (int or Fraction); floats are
-rejected so that engine-equivalence checks stay bit-exact. Elements are
-immutable values and every operation here is pure, so everything is safe
-to share across threads; the one sign-table cache only ever holds a
-checked table from deterministic inputs, so a concurrent refill is
-harmless.
+rejected so that engine-equivalence checks stay bit-exact. Dense elements
+stop at level ``MAX_DENSE_LEVEL``. Elements are immutable values and every
+operation here is pure, so everything is safe to share across threads; the
+one sign-table cache only ever holds a checked table from deterministic
+inputs, so a concurrent refill is harmless.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "AlgebraSignature",
     "Element",
     "InvariantViolation",
+    "MAX_DENSE_LEVEL",
     "SignedIndex",
     "basis_element",
     "basis_from_generators",
@@ -145,6 +146,20 @@ class SignedIndex(NamedTuple):
     index: int
 
 
+# An element holds all 2**level coefficients, so one above this level
+# would take gigabytes; every dense constructor refuses it before
+# allocating. Signs and tables have their own limits.
+MAX_DENSE_LEVEL = 20
+
+
+def _check_dense_level(signature: AlgebraSignature) -> None:
+    if signature.level > MAX_DENSE_LEVEL:
+        raise ValueError(
+            f"dense elements are capped at level {MAX_DENSE_LEVEL} "
+            f"(2**{MAX_DENSE_LEVEL} coefficients), got level {signature.level}"
+        )
+
+
 # The common coefficient types, accepted without a per-coefficient check.
 _EXACT_TYPES = frozenset({int, Fraction})
 
@@ -170,6 +185,7 @@ class Element:
     __slots__ = ("signature", "coeffs")
 
     def __init__(self, signature: AlgebraSignature, coeffs: Sequence):
+        _check_dense_level(signature)
         coeffs = tuple(coeffs)
         if len(coeffs) != signature.dimension:
             raise ValueError(
@@ -241,6 +257,7 @@ class Element:
 
 
 def zero(signature: AlgebraSignature) -> Element:
+    _check_dense_level(signature)
     return Element(signature, (0,) * signature.dimension)
 
 
@@ -249,6 +266,7 @@ def unit(signature: AlgebraSignature):
 
 
 def basis_element(signature: AlgebraSignature, index: int) -> Element:
+    _check_dense_level(signature)
     if not 0 <= index < signature.dimension:
         raise ValueError(
             f"basis index must lie in [0, {signature.dimension}), got {index}"
@@ -260,6 +278,7 @@ def basis_element(signature: AlgebraSignature, index: int) -> Element:
 
 def random_element(signature, rng) -> Element:
     """Element with integer coefficients drawn uniformly from [-9, 9]."""
+    _check_dense_level(signature)
     return Element(
         signature, tuple(rng.randint(-9, 9) for _ in range(signature.dimension))
     )
@@ -376,13 +395,17 @@ def _mul_rec(x: tuple, y: tuple, gammas: tuple[int, ...]) -> tuple:
     # (a,b)(c,d) = (ac + g * conj(d) b, da + b conj(c)) with g = gammas[-1].
     if not gammas:
         return (x[0] * y[0],)
+    add_db = operator.sub if gammas[-1] == -1 else operator.add
+    if len(gammas) == 1:
+        # The halves are scalars, where conj is the identity.
+        (a, b), (c, d) = x, y
+        return (add_db(a * c, d * b), d * a + b * c)
     # A zero operand gives a zero product without recursing; a sparse
     # level-14 operand would otherwise unfold all 4**14 leaf products.
     if not (any(x) and any(y)):
         return (0,) * len(x)
     h, sub = len(x) // 2, gammas[:-1]
     a, b, c, d = x[:h], x[h:], y[:h], y[h:]
-    add_db = operator.sub if gammas[-1] == -1 else operator.add
     low = map(add_db, _mul_rec(a, c, sub), _mul_rec(_conj_tuple(d), b, sub))
     high = map(operator.add, _mul_rec(d, a, sub), _mul_rec(b, _conj_tuple(c), sub))
     return (*low, *high)
@@ -392,9 +415,10 @@ def mul_doubling(x: Element, y: Element) -> Element:
     """Product through the recursive doubling construction.
 
     Splits each operand into (low, high) halves and recurses with the
-    level's doubling parameter, bottoming out at real multiplication.
-    Works for every +-1 parameter vector, so it is strictly more general
-    than the twist engine and serves as its oracle.
+    level's doubling parameter, down to the level-1 step, where both halves
+    are scalars and conjugation is the identity. Works for every +-1
+    parameter vector and calls nothing from the twist layer, so it is
+    strictly more general than the twist engine and serves as its oracle.
     """
     x._require_same_signature(y)
     return Element(x.signature, _mul_rec(x.coeffs, y.coeffs, x.signature.gammas))

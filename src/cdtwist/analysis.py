@@ -262,7 +262,9 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
 
 # Basis-product parity tables computed with the doubling engine only, so
 # the law sweeps below never depend on the closed-form twist they are
-# meant to validate.
+# meant to validate. The cache holds one entry, the last signature built:
+# each sweep asks for one signature at a time, so it rebuilds only when a
+# suite moves to another level.
 _oracle_tables: dict[tuple[int, tuple[int, ...]], list[bytes]] = {}
 
 
@@ -285,6 +287,7 @@ def _oracle_parity_table(signature: AlgebraSignature) -> list[bytes]:
                 row[B] = coeff == -1
             rows.append(bytes(row))
         table = rows
+        _oracle_tables.clear()
         _oracle_tables[key] = table
     return table
 

@@ -1,5 +1,7 @@
 """Tests for signatures, elements, and the two multiplication engines."""
 
+import importlib
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from cdtwist import algebra
 from cdtwist.algebra import (
+    MAX_DENSE_LEVEL,
     AlgebraSignature,
     Element,
     InvariantViolation,
@@ -29,8 +32,11 @@ from cdtwist.algebra import (
     random_element,
     trace,
     unit,
+    zero,
 )
 
+# The package exports the function `twist`, which shadows the module name.
+twist_module = importlib.import_module("cdtwist.twist")
 STD = AlgebraSignature.standard
 SPL = AlgebraSignature.split
 
@@ -460,6 +466,74 @@ class TestMulDoublingMatchesPrunedRecursion:
                 x = _sparse_element(sig, rng, terms, fractions)
                 y = _sparse_element(sig, rng, terms, fractions)
                 _assert_matches_pruned(x, y)
+
+
+def _raise_if_called(*args, **kwargs):
+    raise AssertionError("the doubling oracle called the twist layer")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mul_doubling_and_norm_never_touch_the_twist(kind, monkeypatch):
+    # The oracle must not depend on what it checks: with every twist entry
+    # point raising, dense products and norms still equal the reference.
+    for module in (twist_module, algebra):
+        for name in ("twist", "split_twist", "twist_matrix"):
+            monkeypatch.setattr(module, name, _raise_if_called)
+    monkeypatch.setattr(algebra, "_twist_table", _raise_if_called)
+    rng = random.Random(f"independent:{kind}")
+    for n in range(kind == "split", 8):
+        sig = _signature_of(kind, n)
+        for draw in (random_element, _fraction_element):
+            x, y = draw(sig, rng), draw(sig, rng)
+            _assert_matches_pruned(x, y)
+            square = _pruned_mul_rec(x.coeffs, _pruned_conj_tuple(x.coeffs), sig.gammas)
+            assert not any(square[1:])
+            assert norm(x) == square[0]
+
+
+@pytest.mark.parametrize(
+    "gammas", [g for n in (1, 2) for g in itertools.product((-1, 1), repeat=n)]
+)
+def test_every_gamma_vector_at_levels_1_and_2(gammas):
+    # The recursion ends at the level-1 step; check it, and one step above
+    # it, on every basis pair and the zero element, for every parameter vector.
+    sig = AlgebraSignature.from_gammas(gammas)
+    operands = [zero(sig)] + [basis_element(sig, A) for A in range(sig.dimension)]
+    for x in operands:
+        for y in operands:
+            _assert_matches_pruned(x, y)
+    rng = random.Random(f"gammas:{gammas}")
+    _assert_matches_pruned(_fraction_element(sig, rng), _fraction_element(sig, rng))
+
+
+class TestDenseLevelCap:
+    def test_basis_element_above_the_cap_raises(self):
+        with pytest.raises(ValueError, match=f"capped at level {MAX_DENSE_LEVEL}"):
+            basis_element(STD(30), 0)
+
+    def test_every_constructor_refuses_before_allocating(self):
+        sig = STD(MAX_DENSE_LEVEL + 1)
+
+        def coeffs():
+            raise AssertionError("coefficients were read")
+            yield
+
+        class NoDraws:
+            def randint(self, a, b):
+                raise AssertionError("coefficients were drawn")
+
+        for build in (
+            lambda: Element(sig, coeffs()),
+            lambda: zero(sig),
+            lambda: unit(sig),
+            lambda: basis_element(sig, 0),
+            lambda: random_element(sig, NoDraws()),
+        ):
+            with pytest.raises(ValueError, match=f"capped at level {MAX_DENSE_LEVEL}"):
+                build()
+
+    def test_the_cap_level_itself_is_allowed(self):
+        assert zero(SPL(MAX_DENSE_LEVEL)).is_zero()
 
 
 class TestConjugation:

@@ -153,6 +153,17 @@ class TestAlgebraLaws:
         assert by_name["associative"].holds
 
 
+class TestOracleTableCache:
+    def test_holds_only_the_last_signature(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_oracle_tables", {})
+        table = analysis._oracle_parity_table(STD(3))
+        assert analysis._oracle_parity_table(STD(3)) is table
+        analysis._oracle_parity_table(SPL(3))
+        assert list(analysis._oracle_tables) == [(3, SPL(3).gammas)]
+        assert analysis._oracle_parity_table(STD(3)) == table
+        assert list(analysis._oracle_tables) == [(3, STD(3).gammas)]
+
+
 class TestExpectations:
     def test_law_decay_profile(self):
         assert expected_law_holds("commutative", "standard", 1)

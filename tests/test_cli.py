@@ -329,18 +329,38 @@ class TestVerify:
         assert record["expected"] is True and record["ok"] is False
 
 
-# The fixtures are the stdout of `cdtwist verify --n-max 4 --samples 20 [--split]`.
-# Rewrite them from that command only when a change of output is intended.
-# The split run has no twist-laws or relations records: those reports do
+# The fixtures are the stdout of `cdtwist verify --n-max 4 --samples 20 [--split]`
+# and of the full `cdtwist verify [--split]`, which CI also diffs. Rewrite
+# them from those commands only when a change of output is intended.
+# The split runs have no twist-laws or relations records: those reports do
 # not depend on the kind.
+_SMALL = ("--n-max", "4", "--samples", "20")
+
+
 @pytest.mark.parametrize(
     "fixture, flags",
-    [("verify_n4_s20.jsonl", ()), ("verify_n4_s20_split.jsonl", ("--split",))],
+    [
+        ("verify_n4_s20.jsonl", _SMALL),
+        ("verify_n4_s20_split.jsonl", (*_SMALL, "--split")),
+        ("verify_default.jsonl", ()),
+        ("verify_default_split.jsonl", ("--split",)),
+    ],
 )
 def test_verify_output_matches_golden(capsys, fixture, flags):
-    code, out, _ = run(capsys, "verify", "--n-max", "4", "--samples", "20", *flags)
+    code, out, _ = run(capsys, "verify", *flags)
     assert code == 0
     assert out == (DATA / fixture).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--suite", "engines", "-n", "30"), ("mul", "-n", "30", "1", "1")],
+)
+def test_dense_level_cap_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "capped at level 20" in err
 
 
 class TestBench:
