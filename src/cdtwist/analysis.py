@@ -39,6 +39,7 @@ from .algebra import (
     random_element,
 )
 from .twist import (
+    MAX_LEVEL,
     _peel,
     degree,
     ell,
@@ -134,6 +135,12 @@ class MultiplicationTable:
         return SignedIndex(int(self.signs[A, B]), A ^ B)
 
 
+def _check_table_level(level: int, cap: int = DEFAULT_TABLE_CAP) -> None:
+    """Refuse a 4**level-entry table above ``cap``, before anything is built."""
+    if level > cap:
+        raise ValueError(f"refusing to build a level-{level} table (cap is {cap})")
+
+
 def build_table(
     signature: AlgebraSignature, cap: int = DEFAULT_TABLE_CAP
 ) -> MultiplicationTable:
@@ -144,12 +151,8 @@ def build_table(
     """
     if not signature.has_closed_form:
         raise ValueError(f"no closed-form twist for this signature: {signature}")
-    if signature.level > cap:
-        raise ValueError(
-            f"refusing to build a level-{signature.level} table "
-            f"(cap is {cap}; raise it explicitly if you mean it)"
-        )
     n = signature.level
+    _check_table_level(n, cap)
     exponents = twist_matrix(n, split=not signature.is_standard)
     fn = twist_batch if signature.is_standard else split_twist_batch
     rng = random.Random(n)
@@ -197,16 +200,17 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     split), the zero row/column, the nonzero diagonal, off-diagonal
     antisymmetry, the two cut-bit facts, the unified upper-triangle
     formula, the split reduction, and invariance under padding the level
-    upward.
+    upward. The recursion side is one ``_peel`` step on the memoized
+    recursion. Levels above ``DEFAULT_TABLE_CAP`` are refused.
     """
     if level < 1:
         raise ValueError("twist-law sweeps need level >= 1")
+    _check_table_level(level)
     dim = 1 << level
     top = level - 1
 
-    closed = [[twist(A, B, level) for B in range(dim)] for A in range(dim)]
-    recursive = [[twist_recursive(A, B) for B in range(dim)] for A in range(dim)]
-    split_closed = [[split_twist(A, B, level) for B in range(dim)] for A in range(dim)]
+    closed = [bytes([twist(A, B, level) for B in range(dim)]) for A in range(dim)]
+    split_closed = [bytes([split_twist(A, B, level) for B in range(dim)]) for A in range(dim)]
 
     def all_pairs():
         return itertools.product(range(dim), repeat=2)
@@ -226,7 +230,7 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     # (property, kind, index pairs, violation of the identity on one pair)
     laws = [
         ("closed_equals_recursive", "standard", all_pairs(),
-         lambda A, B: closed[A][B] != recursive[A][B]),
+         lambda A, B: closed[A][B] != _peel(A, B, twist_recursive)),
         ("split_closed_equals_recursive", "split", all_pairs(),
          lambda A, B: split_closed[A][B] != split_twist_recursive(A, B, level)),
         ("unit_row_and_column", "standard",
@@ -272,6 +276,7 @@ def _oracle_parity_table(signature: AlgebraSignature) -> list[bytes]:
     key = (signature.level, signature.gammas)
     table = _oracle_tables.get(key)
     if table is None:
+        _check_table_level(signature.level)
         dim = signature.dimension
         rows = []
         for A in range(dim):
@@ -665,10 +670,10 @@ def benchmark_engines(
         raise ValueError("queries must be >= 1")
     if not levels:
         raise ValueError("no benchmark level given")
+    if not all(1 <= level <= MAX_LEVEL for level in levels):
+        raise ValueError(f"benchmark levels must be in [1, {MAX_LEVEL}], got {levels}")
     rows: list[BenchRow] = []
     for level in levels:
-        if level < 1:
-            raise ValueError("benchmark levels must be >= 1")
         rng = random.Random(f"{seed}:bench:{level}")
         pairs = [
             (rng.getrandbits(level), rng.getrandbits(level)) for _ in range(queries)

@@ -65,10 +65,6 @@ _SHARED_FLAGS = {
         ("--split",),
         dict(action="store_true", help="use the split variant (top parameter +1)"),
     ),
-    "gamma": (
-        ("--gamma",),
-        dict(help="explicit comma list of +-1 doubling parameters (doubling engine only)"),
-    ),
     "seed": (("--seed",), dict(type=int, default=0, help="RNG seed for sampling")),
     "out": (("--out",), dict(help="write output here instead of stdout")),
     "binary": (
@@ -88,13 +84,12 @@ def _build_parser() -> _Parser:
             p.add_argument(*options, **keywords)
         return p
 
-    p = command(
-        "sign", "sign of one basis product", "level", "split", "gamma", "out", "binary"
-    )
+    p = command("sign", "sign of one basis product", "level", "split", "out", "binary")
     p.add_argument("A", type=int)
     p.add_argument("B", type=int)
 
-    p = command("mul", "multiply two elements", "level", "split", "gamma", "out")
+    p = command("mul", "multiply two elements", "level", "split", "out")
+    p.add_argument("--gamma", help="doubling parameters, as --gamma=-1,+1,... (doubling only)")
     p.add_argument("x", help="comma-separated rational coefficients")
     p.add_argument("y", help="comma-separated rational coefficients")
     p.add_argument(
@@ -103,9 +98,7 @@ def _build_parser() -> _Parser:
         help="defaults to 'both' below level 7 (cross-validation), 'twist' above",
     )
 
-    p = command(
-        "table", "emit the multiplication table", "level", "split", "gamma", "out", "binary"
-    )
+    p = command("table", "emit the multiplication table", "level", "split", "out", "binary")
     p.add_argument(
         "--format", choices=("json", "csv", "markdown"), default="json"
     )
@@ -140,7 +133,8 @@ def _build_parser() -> _Parser:
 
 
 def _signature(args) -> AlgebraSignature:
-    if args.gamma is not None:
+    # only `mul` takes --gamma; the other commands' parsers define no such flag
+    if getattr(args, "gamma", None) is not None:
         if args.split:
             raise ValueError("--gamma and --split are mutually exclusive")
         gammas = []

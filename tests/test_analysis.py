@@ -26,7 +26,7 @@ from cdtwist.analysis import (
     verify_twist_laws,
     verify_zero_divisors,
 )
-from cdtwist.twist import twist_recursive
+from cdtwist.twist import _peel, twist, twist_recursive
 
 STD = AlgebraSignature.standard
 SPL = AlgebraSignature.split
@@ -107,6 +107,37 @@ class TestTwistLaws:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             verify_twist_laws(0)
+
+    def test_memo_keeps_only_the_low_pairs(self):
+        twist_recursive.cache_clear()
+        assert all(r.holds for r in verify_twist_laws(8))
+        assert twist_recursive.cache_info().currsize == 4**7
+
+    def test_wrong_recursion_is_detected(self, monkeypatch):
+        def wrong(A, B):
+            return twist_recursive(A, B) ^ 1
+
+        monkeypatch.setattr(analysis, "twist_recursive", wrong)
+        by_name = {r.name: r for r in verify_twist_laws(3)}
+        report = by_name["closed_equals_recursive"]
+        assert not report.holds
+        A, B = report.witness
+        assert twist(A, B, 3) != _peel(A, B, wrong)
+        assert all(r.holds for name, r in by_name.items() if name != report.name)
+
+
+def test_levels_above_the_table_cap_are_refused_before_any_work(monkeypatch):
+    def boom(*args):
+        raise AssertionError("no table work above the cap")
+
+    for attr in ("twist", "split_twist", "mul_doubling"):
+        monkeypatch.setattr(analysis, attr, boom)
+    monkeypatch.setattr(analysis, "_oracle_tables", {})
+    with pytest.raises(ValueError, match="cap is 12"):
+        verify_twist_laws(13)
+    with pytest.raises(ValueError, match="cap is 12"):
+        find_zero_divisors(STD(13))
+    assert analysis._oracle_tables == {}
 
 
 class TestAlgebraLaws:
@@ -296,6 +327,11 @@ class TestBenchmark:
     def test_no_levels(self):
         with pytest.raises(ValueError, match="level"):
             benchmark_engines([])
+
+    def test_level_past_max_level_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(analysis, "twist", lambda *a: pytest.fail("timed a level"))
+        with pytest.raises(ValueError, match="62"):
+            benchmark_engines([3, 64], queries=4, reps=1)
 
     def test_leaves_the_recursion_memo_warm(self):
         for A in range(64):

@@ -45,11 +45,6 @@ class TestSign:
         assert code == 1
         assert "[0, 8)" in err
 
-    def test_gamma_has_no_closed_form(self, capsys):
-        code, _, err = run(capsys, "sign", "--gamma", "+1,+1", "1", "2")
-        assert code == 1
-        assert "closed-form" in err
-
 
 class TestMul:
     def test_complex_square(self, capsys):
@@ -363,6 +358,14 @@ def test_dense_level_cap_exits_one(capsys, argv):
     assert "capped at level 20" in err
 
 
+@pytest.mark.parametrize("suite", ["twist-laws", "zero-divisors"])
+def test_table_level_cap_exits_one(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "-n", "13")
+    assert code == 1
+    assert out == ""
+    assert "cap is 12" in err and "Traceback" not in err
+
+
 class TestBench:
     def test_rows_schema(self, capsys):
         code, out, _ = run(
@@ -392,6 +395,13 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--levels", ",")
         assert code == 1 and out == ""
         assert "level" in err
+
+    def test_level_past_max_level_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--levels", "64", "--queries", "4", "--reps", "1"
+        )
+        assert code == 1 and out == ""
+        assert "62" in err and "Traceback" not in err
 
 
 class TestUsageErrors:
@@ -428,9 +438,9 @@ _BASE_ARGV = {
 @pytest.mark.parametrize(
     "command, flag",
     [
-        ("sign", "--seed=1"), ("sign", "--cap=3"),
+        ("sign", "--seed=1"), ("sign", "--cap=3"), ("sign", "--gamma=-1"),
         ("mul", "--seed=1"), ("mul", "--cap=3"), ("mul", "--binary"),
-        ("table", "--seed=1"),
+        ("table", "--seed=1"), ("table", "--gamma=-1"),
         ("verify", "--gamma=-1"), ("verify", "--cap=3"), ("verify", "--binary"),
         ("bench", "-n3"), ("bench", "--split"), ("bench", "--gamma=-1"),
         ("bench", "--cap=3"), ("bench", "--binary"),
