@@ -164,12 +164,14 @@ def _check_dense_level(signature: AlgebraSignature) -> None:
 _EXACT_TYPES = frozenset({int, Fraction})
 
 
-def _check_scalar(c):
+def _exact_scalar(c):
     # bool is an int subclass; exclude it to keep coefficient vectors sane.
+    # Other Rationals become int or Fraction: numpy fixed-width ints wrap.
     if isinstance(c, bool) or not isinstance(c, numbers.Rational):
         raise ValueError(
             f"coefficients must be exact rationals (int or Fraction), got {c!r}"
         )
+    return int(c) if isinstance(c, numbers.Integral) else Fraction(c)
 
 
 class Element:
@@ -193,8 +195,7 @@ class Element:
                 f"{signature.level}, got {len(coeffs)}"
             )
         if not _EXACT_TYPES.issuperset(map(type, coeffs)):
-            for c in coeffs:
-                _check_scalar(c)
+            coeffs = tuple(map(_exact_scalar, coeffs))
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -245,11 +246,13 @@ class Element:
             return mul_doubling(self, other)
         if isinstance(other, bool) or not isinstance(other, numbers.Rational):
             return NotImplemented
+        other = _exact_scalar(other)
         return Element(self.signature, tuple(c * other for c in self.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, bool) or not isinstance(other, numbers.Rational):
             return NotImplemented
+        other = _exact_scalar(other)
         return Element(self.signature, tuple(other * c for c in self.coeffs))
 
     def __repr__(self):

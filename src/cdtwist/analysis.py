@@ -46,7 +46,6 @@ from .twist import (
     phi,
     split_twist,
     split_twist_batch,
-    split_twist_recursive,
     twist,
     twist_batch,
     twist_matrix,
@@ -200,8 +199,9 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     split), the zero row/column, the nonzero diagonal, off-diagonal
     antisymmetry, the two cut-bit facts, the unified upper-triangle
     formula, the split reduction, and invariance under padding the level
-    upward. The recursion side is one ``_peel`` step on the memoized
-    recursion. Levels above ``DEFAULT_TABLE_CAP`` are refused.
+    upward. The recursion side is one ``_peel`` step reading the table's own
+    lower entries; with its seed that step determines the recursion, so no
+    memo is read. Levels above ``DEFAULT_TABLE_CAP`` are refused.
     """
     if level < 1:
         raise ValueError("twist-law sweeps need level >= 1")
@@ -211,6 +211,9 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
 
     closed = [bytes([twist(A, B, level) for B in range(dim)]) for A in range(dim)]
     split_closed = [bytes([split_twist(A, B, level) for B in range(dim)]) for A in range(dim)]
+
+    def low(A, B):
+        return closed[A][B]
 
     def all_pairs():
         return itertools.product(range(dim), repeat=2)
@@ -230,9 +233,9 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     # (property, kind, index pairs, violation of the identity on one pair)
     laws = [
         ("closed_equals_recursive", "standard", all_pairs(),
-         lambda A, B: closed[A][B] != _peel(A, B, twist_recursive)),
+         lambda A, B: closed[A][B] != _peel(A, B, low)),
         ("split_closed_equals_recursive", "split", all_pairs(),
-         lambda A, B: split_closed[A][B] != split_twist_recursive(A, B, level)),
+         lambda A, B: split_closed[A][B] != _peel(A, B, low, top, square=0)),
         ("unit_row_and_column", "standard",
          [(0, B) for B in range(dim)] + [(A, 0) for A in range(dim)],
          lambda A, B: closed[A][B] != 0),
@@ -273,25 +276,22 @@ _oracle_tables: dict[tuple[int, tuple[int, ...]], list[bytes]] = {}
 
 
 def _oracle_parity_table(signature: AlgebraSignature) -> list[bytes]:
+    """Rows t[A], one doubling product each: e_A times the all-ones element
+    puts (-1)**t[A][B] on index A^B, so every coefficient must be +-1."""
     key = (signature.level, signature.gammas)
     table = _oracle_tables.get(key)
     if table is None:
         _check_table_level(signature.level)
         dim = signature.dimension
-        rows = []
+        ones = Element(signature, [1] * dim)
+        table = []
         for A in range(dim):
-            ea = basis_element(signature, A)
-            row = bytearray(dim)
-            for B in range(dim):
-                product = mul_doubling(ea, basis_element(signature, B))
-                coeff = product.coeffs[A ^ B]
-                if coeff not in (1, -1):
-                    raise InvariantViolation(
-                        f"basis product e_{A} e_{B} is not a signed basis element"
-                    )
-                row[B] = coeff == -1
-            rows.append(bytes(row))
-        table = rows
+            product = mul_doubling(basis_element(signature, A), ones).coeffs
+            if any(c not in (1, -1) for c in product):
+                raise InvariantViolation(
+                    f"e_{A} times the all-ones element has a coefficient other than +-1"
+                )
+            table.append(bytes(product[A ^ B] == -1 for B in range(dim)))
         _oracle_tables.clear()
         _oracle_tables[key] = table
     return table

@@ -103,6 +103,19 @@ class TestElement:
     def test_accepts_exact_rationals(self, c):
         assert Element(STD(1), (c, 0)).coeffs == (c, 0)
 
+    def test_numpy_fixed_width_ints_do_not_wrap(self):
+        x = Element(STD(2), [np.int8(100), np.int8(100), 0, 0])
+        assert [type(c) for c in x.coeffs] == [int] * 4
+        exact = Element(STD(2), [100, 100, 0, 0])
+        square = Element(STD(2), [0, 20000, 0, 0])
+        assert mul_doubling(x, x) == mul_twist(x, x) == mul_doubling(exact, exact) == square
+        assert norm(x) == norm(exact) == 20000
+        y = Element(STD(1), [100, 3])
+        assert y * np.int8(100) == y * 100 == Element(STD(1), [10000, 300])
+        assert (np.int8(100) * y).coeffs == (10000, 300)
+        # numpy answers `np.int8(100) * y` itself; other left operands reach __rmul__
+        assert y.__rmul__(np.int8(100)) == y * 100
+
     def test_immutable(self):
         x = unit(STD(2))
         with pytest.raises(AttributeError):

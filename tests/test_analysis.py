@@ -1,5 +1,7 @@
 """Tests for tables, law sweeps, zero-divisor search, and benchmarks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cdtwist.algebra import (
     AlgebraSignature,
     Element,
     InvariantViolation,
+    basis_element,
     basis_mul,
     mul_doubling,
     norm,
@@ -26,7 +29,7 @@ from cdtwist.analysis import (
     verify_twist_laws,
     verify_zero_divisors,
 )
-from cdtwist.twist import _peel, twist, twist_recursive
+from cdtwist.twist import twist, twist_recursive
 
 STD = AlgebraSignature.standard
 SPL = AlgebraSignature.split
@@ -108,22 +111,45 @@ class TestTwistLaws:
         with pytest.raises(ValueError):
             verify_twist_laws(0)
 
-    def test_memo_keeps_only_the_low_pairs(self):
+    def test_sweep_leaves_the_memo_empty(self):
         twist_recursive.cache_clear()
         assert all(r.holds for r in verify_twist_laws(8))
-        assert twist_recursive.cache_info().currsize == 4**7
+        info = twist_recursive.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_wrong_recursion_is_detected(self, monkeypatch):
-        def wrong(A, B):
-            return twist_recursive(A, B) ^ 1
+        right = analysis._peel
 
-        monkeypatch.setattr(analysis, "twist_recursive", wrong)
+        def wrong(*args, **kwargs):
+            return right(*args, **kwargs) ^ 1
+
+        monkeypatch.setattr(analysis, "_peel", wrong)
+        by_name = {r.name: r for r in verify_twist_laws(3)}
+        recursive = {"closed_equals_recursive", "split_closed_equals_recursive"}
+        assert {name for name, r in by_name.items() if not r.holds} == recursive
+
+        # the witness replays: the closed form breaks the wrong step, not the right one
+        def table(A, B):
+            return twist(A, B, 3)
+
+        A, B = by_name["closed_equals_recursive"].witness
+        assert twist(A, B, 3) != wrong(A, B, table)
+        assert twist(A, B, 3) == right(A, B, table)
+
+    def test_one_wrong_table_entry_is_its_own_witness(self, monkeypatch):
+        # No lower pair's step reads (6, 3) at level 3, so the sweep first
+        # fails at the entry itself.
+        right = analysis.twist
+
+        def flipped(A, B, level):
+            return right(A, B, level) ^ ((A, B) == (6, 3))
+
+        monkeypatch.setattr(analysis, "twist", flipped)
         by_name = {r.name: r for r in verify_twist_laws(3)}
         report = by_name["closed_equals_recursive"]
         assert not report.holds
-        A, B = report.witness
-        assert twist(A, B, 3) != _peel(A, B, wrong)
-        assert all(r.holds for name, r in by_name.items() if name != report.name)
+        assert report.witness == (6, 3)
+        assert by_name["split_closed_equals_recursive"].holds
 
 
 def test_levels_above_the_table_cap_are_refused_before_any_work(monkeypatch):
@@ -193,6 +219,54 @@ class TestOracleTableCache:
         assert list(analysis._oracle_tables) == [(3, SPL(3).gammas)]
         assert analysis._oracle_parity_table(STD(3)) == table
         assert list(analysis._oracle_tables) == [(3, STD(3).gammas)]
+
+
+class TestOracleTable:
+    def test_one_doubling_product_per_row(self, monkeypatch):
+        calls = []
+
+        def counted(x, y, _right=analysis.mul_doubling):
+            calls.append(1)
+            return _right(x, y)
+
+        monkeypatch.setattr(analysis, "_oracle_tables", {})
+        monkeypatch.setattr(analysis, "mul_doubling", counted)
+        for signature in (STD(5), SPL(5)):
+            calls.clear()
+            analysis._oracle_parity_table(signature)
+            assert len(calls) == 2**5
+
+    def test_product_off_the_signed_basis_is_rejected(self, monkeypatch):
+        def plus_unit(x, y, _right=analysis.mul_doubling):
+            return _right(x, y) + basis_element(x.signature, 0)
+
+        monkeypatch.setattr(analysis, "_oracle_tables", {})
+        monkeypatch.setattr(analysis, "mul_doubling", plus_unit)
+        with pytest.raises(InvariantViolation, match="coefficient other than"):
+            analysis._oracle_parity_table(STD(3))
+
+    @pytest.mark.parametrize(
+        "gammas",
+        [g for n in (1, 2, 3) for g in itertools.product((-1, 1), repeat=n)],
+        ids=str,
+    )
+    def test_matches_pairwise_basis_products(self, monkeypatch, gammas):
+        signature = AlgebraSignature.from_gammas(gammas)
+        dim = signature.dimension
+        expected = []
+        for A in range(dim):
+            row = []
+            for B in range(dim):
+                product = mul_doubling(
+                    basis_element(signature, A), basis_element(signature, B)
+                ).coeffs
+                assert [i for i, c in enumerate(product) if c] == [A ^ B]
+                assert product[A ^ B] in (1, -1)
+                row.append(int(product[A ^ B] == -1))
+            expected.append(row)
+        monkeypatch.setattr(analysis, "_oracle_tables", {})
+        table = analysis._oracle_parity_table(signature)
+        assert [list(row) for row in table] == expected
 
 
 class TestExpectations:

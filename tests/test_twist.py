@@ -195,7 +195,7 @@ class TestTwistMatrix:
         assert matrix.dtype == np.uint8
         assert matrix.tolist() == expected
 
-    @pytest.mark.parametrize("level, split", _kinds_through(6))
+    @pytest.mark.parametrize("level, split", _kinds_through(8))
     def test_matches_doubling_oracle_exhaustive(self, level, split):
         sig = (AlgebraSignature.split if split else AlgebraSignature.standard)(level)
         oracle = [list(row) for row in _oracle_parity_table(sig)]
