@@ -8,18 +8,19 @@ algebra itself is described by an `AlgebraSignature`: the level n plus one
 doubling parameter per level, each -1 (imaginary new unit) or +1
 (hyperbolic new unit).
 
-Two multiplication engines are provided and must agree wherever both are
-defined:
+Two multiplication engines are provided, for every parameter vector, and
+must agree:
 
 * ``mul_twist`` expands the product bilinearly over basis pairs using the
-  closed-form twist exponents (standard and split signatures only). It
-  reads one standard sign table and gets the split signs from it by the
-  top-bit reduction; coefficients are multiplied as Python ints over one
-  common denominator per operand.
+  closed-form twist exponents. It reads one standard sign table and gets
+  every other kind's signs from it by the mask rule, sigma_gamma(A, B) =
+  sigma(A, B) + popcount(A & B & mask) (mod 2), where the signature's
+  ``mask`` has bit k set where gammas[k] = +1; coefficients are multiplied
+  as Python ints over one common denominator per operand.
 * ``mul_doubling`` splits each operand into (low, high) halves and
   recurses with the level's doubling parameter, ending at the scalar
-  (level-1) step. It accepts arbitrary +-1 parameter vectors and serves
-  as the independent oracle.
+  (level-1) step. It calls nothing from the twist layer and serves as the
+  independent oracle.
 
 Coefficients must be exact rationals (int or Fraction); floats are
 rejected so that engine-equivalence checks stay bit-exact. Dense elements
@@ -40,7 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .twist import split_twist, twist, twist_matrix
+# ``split_twist`` has no caller here; perfbench/tracer.py wraps
+# ``algebra.split_twist`` by name, so the name stays importable.
+from .twist import split_twist, twist, twist_matrix  # noqa: F401
 
 __all__ = [
     "AlgebraSignature",
@@ -76,8 +79,8 @@ class AlgebraSignature:
 
     ``gammas[i]`` is the parameter of the i-th doubling step. The standard
     algebra uses -1 at every level; the split variant flips only the last
-    one to +1. Closed-form twists exist only for those two shapes, but the
-    doubling engine works for any +-1 vector.
+    one to +1. Any +-1 vector is allowed, and ``mask`` is all the twist
+    layer needs of it: both engines work for every vector.
     """
 
     level: int
@@ -112,20 +115,17 @@ class AlgebraSignature:
         return 1 << self.level
 
     @property
+    def mask(self) -> int:
+        """Bit k set where ``gammas[k]`` is +1: the twist's one dependence on the kind."""
+        return sum(1 << k for k, g in enumerate(self.gammas) if g == 1)
+
+    @property
     def is_standard(self) -> bool:
-        return all(g == -1 for g in self.gammas)
+        return self.mask == 0
 
     @property
     def is_split(self) -> bool:
-        return (
-            self.level >= 1
-            and self.gammas[-1] == 1
-            and all(g == -1 for g in self.gammas[:-1])
-        )
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self.is_standard or self.is_split
+        return self.level >= 1 and self.mask == 1 << (self.level - 1)
 
     @property
     def kind(self) -> str:
@@ -178,9 +178,8 @@ class Element:
     """Immutable dense element of a doubled algebra.
 
     ``coeffs[A]`` multiplies e_A. Supports +, -, scalar and element
-    multiplication (`*` picks the twist engine when the signature has a
-    closed form, the doubling engine otherwise). Equality is exact and
-    only defined between elements of the same signature; comparing across
+    multiplication (`*` is ``mul_twist``). Equality is exact and only
+    defined between elements of the same signature; comparing across
     signatures raises instead of returning False.
     """
 
@@ -240,10 +239,7 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._require_same_signature(other)
-            if self.signature.has_closed_form:
-                return mul_twist(self, other)
-            return mul_doubling(self, other)
+            return mul_twist(self, other)
         if isinstance(other, bool) or not isinstance(other, numbers.Rational):
             return NotImplemented
         other = _exact_scalar(other)
@@ -287,16 +283,9 @@ def random_element(signature, rng) -> Element:
     )
 
 
-def _closed_form(signature: AlgebraSignature):
-    """The scalar closed-form twist of ``signature``: ``twist`` or ``split_twist``."""
-    if not signature.has_closed_form:
-        raise ValueError(f"no closed-form twist for this signature: {signature}")
-    return twist if signature.is_standard else split_twist
-
-
 def basis_mul(A: int, B: int, signature: AlgebraSignature) -> SignedIndex:
     """Product of two basis elements: e_A * e_B = sign * e_{A ^ B}."""
-    exponent = _closed_form(signature)(A, B, signature.level)
+    exponent = twist(A, B, signature.level, signature.mask)
     return SignedIndex(-1 if exponent else 1, A ^ B)
 
 
@@ -315,15 +304,9 @@ def _twist_table(level: int) -> list[bytes]:
         if cached_level >= level:
             return table
     table = [row.tobytes() for row in twist_matrix(level)]
-    # The split twist is the standard one XOR the product of the two top
-    # bits; check both the table and that reduction against the closed forms.
-    top = level - 1
     rng = random.Random(level)
     for A, B in ((rng.getrandbits(level), rng.getrandbits(level)) for _ in range(256)):
-        t = table[A][B]
-        if t != twist(A, B, level) or (
-            level and t ^ (A >> top & B >> top & 1) != split_twist(A, B, level)
-        ):
+        if table[A][B] != twist(A, B, level):
             raise InvariantViolation(
                 f"block-doubling table != closed form at ({A}, {B}) for level {level}"
             )
@@ -346,28 +329,25 @@ def _scaled(c, d: int | None) -> int:
 def mul_twist(x: Element, y: Element) -> Element:
     """Bilinear product over basis pairs with closed-form signs.
 
-    Every sign comes from the standard twist: the split twist is the
-    standard one XOR the product of the two top bits, so a row whose first
-    index has the top bit set takes y's top half negated. Up to level 9 the
-    signs are read from the cached table, above it from scalar ``twist``.
-    Coefficients are brought to one common denominator per operand and
-    multiplied as Python ints; the sums are divided back once. Cost is
-    O(4**n) integer operations on dense operands; zero coefficients are
-    skipped.
+    Every sign comes from the standard twist: the twist of a parameter
+    vector adds popcount(A & B & mask) to it, so y's terms are grouped by
+    g = B & mask and row A takes a group negated when A & g has odd
+    popcount (one group for the standard kind, y's two halves for the
+    split one). Up to level 9 the signs are read from the cached table,
+    above it from scalar ``twist``. Coefficients are brought to one common
+    denominator per operand and multiplied as Python ints; the sums are
+    divided back once. Cost is O(4**n) integer operations on dense
+    operands; zero coefficients are skipped.
     """
     x._require_same_signature(y)
     sig = x.signature
-    _closed_form(sig)  # raises for a signature without one
-    n = sig.level
+    n, mask = sig.level, sig.mask
     table = _twist_table(n) if n <= _TWIST_TABLE_CACHE_MAX_LEVEL else None
     dx, dy = _common_denominator(x.coeffs), _common_denominator(y.coeffs)
-    # y's nonzero terms below the top bit, then (the same iterator, resumed)
-    # at or above it.
-    half = sig.dimension >> 1
-    ys = enumerate(y.coeffs)
-    low = [(B, _scaled(yb, dy)) for B, yb in itertools.islice(ys, half) if yb]
-    high = [(B, _scaled(yb, dy)) for B, yb in ys if yb]
-    flip_top = sig.is_split
+    groups: dict[int, list] = {}
+    ys = y.coeffs
+    for B in itertools.compress(range(len(ys)), ys):
+        groups.setdefault(B & mask, []).append((B, _scaled(ys[B], dy)))
     out = [0] * sig.dimension
     for A, xa in enumerate(x.coeffs):
         if not xa:
@@ -376,8 +356,9 @@ def mul_twist(x: Element, y: Element) -> Element:
         if table:
             row = table[A]
         else:
-            row = {B: twist(A, B, n) for B, _ in itertools.chain(low, high)}
-        for xs, terms in ((xa, low), (-xa if flip_top and A >= half else xa, high)):
+            row = {B: twist(A, B, n) for terms in groups.values() for B, _ in terms}
+        for g, terms in groups.items():
+            xs = -xa if (A & g).bit_count() & 1 else xa
             for B, yb in terms:
                 if row[B]:
                     out[A ^ B] -= xs * yb

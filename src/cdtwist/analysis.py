@@ -38,7 +38,9 @@ from .algebra import (
     norm,
     random_element,
 )
-from .twist import (
+# ``split_twist_batch`` has no caller here; perfbench/tracer.py wraps
+# ``analysis.split_twist_batch`` by name, so the name stays importable.
+from .twist import (  # noqa: F401
     MAX_LEVEL,
     _peel,
     degree,
@@ -143,20 +145,19 @@ def _check_table_level(level: int, cap: int = DEFAULT_TABLE_CAP) -> None:
 def build_table(
     signature: AlgebraSignature, cap: int = DEFAULT_TABLE_CAP
 ) -> MultiplicationTable:
-    """Materialize the full multiplication table for a closed-form signature.
+    """Materialize the full multiplication table of any signature.
 
     Built by block doubling (``twist_matrix``), with a seeded sample checked
-    against the batch closed form. ``cap`` bounds the 4**n-byte sign matrix.
+    against the batch closed form of the standard kind plus the mask term.
+    ``cap`` bounds the 4**n-byte sign matrix.
     """
-    if not signature.has_closed_form:
-        raise ValueError(f"no closed-form twist for this signature: {signature}")
-    n = signature.level
+    n, mask = signature.level, signature.mask
     _check_table_level(n, cap)
-    exponents = twist_matrix(n, split=not signature.is_standard)
-    fn = twist_batch if signature.is_standard else split_twist_batch
+    exponents = twist_matrix(n, mask)
     rng = random.Random(n)
     A, B = np.array([rng.getrandbits(n) for _ in range(1 << 13)]).reshape(2, -1)  # int64
-    bad = np.flatnonzero(exponents[A, B] != fn(A, B, n))
+    expected = twist_batch(A, B, n) ^ (np.bitwise_count(A & B & mask) & 1)
+    bad = np.flatnonzero(exponents[A, B] != expected)
     if bad.size:
         i = bad[0]
         raise InvariantViolation(

@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("B", type=int)
 
     p = command("mul", "multiply two elements", "level", "split", "out")
-    p.add_argument("--gamma", help="doubling parameters, as --gamma=-1,+1,... (doubling only)")
+    p.add_argument("--gamma", help="doubling parameters, as --gamma=-1,+1,...")
     p.add_argument("x", help="comma-separated rational coefficients")
     p.add_argument("y", help="comma-separated rational coefficients")
     p.add_argument(
@@ -186,14 +186,7 @@ def _cmd_mul(args) -> int:
     sig = _signature(args)
     x = parse_element(args.x, sig)
     y = parse_element(args.y, sig)
-    engine = args.engine
-    if engine is None:
-        if not sig.has_closed_form:
-            engine = "doubling"
-        elif sig.level < 7:
-            engine = "both"
-        else:
-            engine = "twist"
+    engine = args.engine or ("both" if sig.level < 7 else "twist")
     product = (mul_doubling if engine == "doubling" else mul_twist)(x, y)
     if engine == "both":
         check = mul_doubling(x, y)

@@ -19,18 +19,27 @@ exponent. This module computes that exponent along two independent routes:
   ``twist_matrix`` builds whole tables by this recursion in block form.
 
 The two routes must agree everywhere; the test suite enforces this
-exhaustively for all levels up to 8. The split variant (final doubling
-parameter +1, making the top generator hyperbolic instead of imaginary)
-differs from the standard twist exactly by the product of the two top
-bits; ``split_twist`` and ``split_twist_recursive`` compute it by the
-reduction formula and by the split recursion respectively.
+exhaustively for all levels up to 8. The twist of any other
+doubling-parameter vector gamma differs from the standard one by one term:
+with ``mask`` the set of levels k where gamma_k = +1 (a hyperbolic instead
+of an imaginary new generator),
+
+    twist_gamma(A, B) = twist(A, B) + popcount(A & B & mask)  (mod 2).
+
+``twist``, ``twist_batch`` and ``twist_matrix`` take that mask (0, the
+standard kind, by default); ``twist_matrix`` carries the proof. The split
+kind is the mask of the top bit alone: ``split_twist`` and
+``split_twist_batch`` are that case, and ``split_twist_recursive`` checks
+it by the split recursion.
 
 Twist values are always exponents in {0, 1}, never +-1 signs; conversion
 to a sign happens in the element-arithmetic layer (`cdtwist.algebra`).
 
 All functions here are pure. ``twist_recursive`` keeps a bounded, lock
 protected memo (``functools.lru_cache``), so concurrent callers always
-observe consistent values.
+observe consistent values. Besides ``split_twist_recursive`` nothing in
+the package reads it: the verification sweeps step over their own tables,
+and ``benchmark_engines`` takes only its size, for a cold memo of its own.
 """
 
 from __future__ import annotations
@@ -96,21 +105,23 @@ def _check_pair(A: int, B: int, level: int) -> None:
         )
 
 
-def twist(A: int, B: int, level: int) -> int:
-    """Closed-form twist exponent of the standard algebra at ``level``.
+def twist(A: int, B: int, level: int, mask: int = 0) -> int:
+    """Closed-form twist exponent at ``level``, of the standard algebra by default.
 
     Returns 0 when either index is 0, 1 on the nonzero diagonal, and
     otherwise a case split on how the degrees of A and B compare, each
     case adding the OR-sum of the digit pairs from the cutoff position
     upward. Since indices below 2**level carry no higher bits, the sum is
     a popcount of (A | B) shifted down by the cutoff; padding the level
-    upward cannot change the result.
+    upward cannot change the result. A nonzero ``mask`` (bit k set where
+    gamma_k = +1) adds popcount(A & B & mask); see ``twist_matrix``.
     """
     _check_pair(A, B, level)
+    gamma = (A & B & mask).bit_count()
     if A == 0 or B == 0:
         return 0
     if A == B:
-        return 1
+        return (1 + gamma) & 1
     deg_a = (A & -A).bit_length() - 1
     deg_b = (B & -B).bit_length() - 1
     x = A ^ B
@@ -119,10 +130,10 @@ def twist(A: int, B: int, level: int) -> int:
     a_cut = (A >> cut) & 1
     b_cut = (B >> cut) & 1
     if deg_a > deg_b:
-        return (b_cut + digit_sum) & 1
+        return (b_cut + digit_sum + gamma) & 1
     if deg_a < deg_b:
-        return (1 + a_cut + digit_sum) & 1
-    return (a_cut + digit_sum) & 1
+        return (1 + a_cut + digit_sum + gamma) & 1
+    return (a_cut + digit_sum + gamma) & 1
 
 
 def _peel(A: int, B: int, low, n: int | None = None, square: int = 1) -> int:
@@ -161,18 +172,15 @@ def twist_recursive(A: int, B: int) -> int:
     return _peel(A, B, twist_recursive)
 
 
-def split_twist(A: int, B: int, level: int) -> int:
-    """Closed-form twist exponent of the split algebra at ``level``.
-
-    The split algebra replaces the final doubling parameter by +1; its
-    twist differs from the standard one exactly by the product of the two
-    bits at the top position (index level - 1).
-    """
+def _split_mask(level: int) -> int:
     if level < 1:
         raise ValueError("split algebras need level >= 1")
-    _check_pair(A, B, level)
-    top = level - 1
-    return twist(A, B, level) ^ (((A >> top) & (B >> top)) & 1)
+    return 1 << (level - 1)
+
+
+def split_twist(A: int, B: int, level: int) -> int:
+    """``twist`` of the split algebra (final doubling parameter +1): the top-bit mask."""
+    return twist(A, B, level, _split_mask(level))
 
 
 def split_twist_recursive(A: int, B: int, level: int) -> int:
@@ -188,7 +196,7 @@ def split_twist_recursive(A: int, B: int, level: int) -> int:
     return _peel(A, B, twist_recursive, level - 1, square=0)
 
 
-def twist_batch(A, B, level: int) -> np.ndarray:
+def twist_batch(A, B, level: int, mask: int = 0) -> np.ndarray:
     """Vectorized ``twist`` over arrays of indices.
 
     Accepts anything ``np.asarray`` turns into integer arrays of equal
@@ -228,35 +236,49 @@ def twist_batch(A, B, level: int) -> np.ndarray:
         ],
         default=(a_cut + digit_sum) & 1,
     )
+    if mask:
+        result ^= np.bitwise_count(A & B & mask) & 1
     return result.astype(np.uint8)
 
 
 def split_twist_batch(A, B, level: int) -> np.ndarray:
     """Vectorized ``split_twist`` over arrays of indices."""
-    if level < 1:
-        raise ValueError("split algebras need level >= 1")
-    base = twist_batch(A, B, level)
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    top = level - 1
-    return (base ^ (((A >> top) & (B >> top)) & 1).astype(np.uint8))
+    return twist_batch(A, B, level, _split_mask(level))
 
 
-def twist_matrix(level: int, split: bool = False) -> np.ndarray:
+def twist_matrix(level: int, mask: int = 0) -> np.ndarray:
     """Full uint8 exponent matrix ``M[A, B]``, by the doubling recursion in block form.
 
-    T_0 = [[0]], T_{k+1} = [[T, T^t], [T + d, T^t + d + 1]] over Z2 with
-    d[B] = T[B, B] along every row; the split kind drops the last ``+ 1``.
-    Cost is O(4**n) byte operations; callers bound the level.
+    Bit k of ``mask`` is set where the k-th doubling parameter gamma_k is +1
+    (0: the standard kind). With d[B] = [B != 0], the exponent of the
+    conjugation sign of e_B, added along every row,
+
+        T_0 = [[0]],  T_{k+1} = [[T, T^t], [T + d, T^t + d + [gamma_k = -1]]]  (mod 2),
+
+    which is (a, b)(c, e) = (ac + gamma conj(e) b, ea + b conj(c)) on basis
+    pairs: e_A0 e_{B0 + 2**k} = e_B0 e_A0, e_{A0 + 2**k} e_B0 = e_A0 conj(e_B0),
+    and e_{A0 + 2**k} e_{B0 + 2**k} = gamma_k conj(e_B0) e_A0.
+
+    Proof that this is ``twist(A, B, level, mask)``, the standard exponent
+    plus popcount(A & B & mask): by induction on k. The standard kind has
+    the same blocks with [gamma_k = -1] = 1. In the three blocks other than
+    the bottom right, A & B has no bit k, and T or T^t already differs from
+    the standard block by popcount(A0 & B0 & mask). In the bottom right,
+    A & B has bit k, and [gamma_k = -1] = 1 + [gamma_k = +1] adds exactly
+    bit k of the mask to that popcount. Cost is O(4**n) byte operations;
+    callers bound the level.
     """
-    if level < split:
-        raise ValueError(f"level must be >= {int(split)} (split needs 1), got {level}")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    if not 0 <= mask < 1 << level:
+        raise ValueError(f"mask must lie in [0, {1 << level}) for level {level}, got {mask}")
     out = np.zeros((1 << level, 1 << level), dtype=np.uint8)
     for k in range(level):
         h = 1 << k
         T = out[:h, :h]
-        d = T.diagonal()
+        d = np.ones(h, dtype=np.uint8)
+        d[0] = 0
         out[:h, h : 2 * h] = T.T
         out[h : 2 * h, :h] = T ^ d
-        out[h : 2 * h, h : 2 * h] = T.T ^ d ^ (0 if split and k == level - 1 else 1)
+        out[h : 2 * h, h : 2 * h] = T.T ^ d ^ (1 - (mask >> k & 1))
     return out

@@ -47,20 +47,21 @@ class TestSignature:
         assert sig.gammas == (-1, -1, -1)
         assert sig.kind == "standard"
         assert sig.dimension == 8
-        assert sig.has_closed_form
+        assert sig.mask == 0 and sig.is_standard and not sig.is_split
 
     def test_split(self):
         sig = SPL(3)
         assert sig.gammas == (-1, -1, 1)
         assert sig.kind == "split"
-        assert sig.has_closed_form
+        assert sig.mask == 0b100 and sig.is_split and not sig.is_standard
         with pytest.raises(ValueError):
             SPL(0)
 
     def test_general(self):
         sig = AlgebraSignature.from_gammas((1, -1))
         assert sig.kind == "gamma:+1,-1"
-        assert not sig.has_closed_form
+        assert sig.mask == 0b01 and not sig.is_standard and not sig.is_split
+        assert AlgebraSignature.from_gammas((1, -1, 1, 1)).mask == 0b1101
         # a single +1 at the end is the split shape, not a general one
         assert AlgebraSignature.from_gammas((1,)) == SPL(1)
 
@@ -147,7 +148,7 @@ class TestElement:
         assert (e5 * e6).coeffs[3] == -1
         gen = AlgebraSignature.from_gammas((-1, 1, -1))
         a = basis_element(gen, 1)
-        assert (a * a) == -unit(gen)  # falls back to the doubling engine
+        assert (a * a) == -unit(gen)  # the twist engine serves every parameter vector
 
 
 class TestBasisMul:
@@ -162,9 +163,14 @@ class TestBasisMul:
     def test_split_unit_squares_to_plus_one(self, n):
         assert basis_mul(1 << n, 1 << n, SPL(n + 1)) == SignedIndex(1, 0)
 
-    def test_no_closed_form_for_general_gammas(self):
-        with pytest.raises(ValueError, match="no closed-form twist"):
-            basis_mul(0, 0, AlgebraSignature.from_gammas((1, -1)))
+    def test_every_gamma_vector_matches_the_doubling_oracle(self):
+        for gammas in itertools.product((-1, 1), repeat=3):
+            sig = AlgebraSignature.from_gammas(gammas)
+            es = [basis_element(sig, A) for A in range(sig.dimension)]
+            for A in range(sig.dimension):
+                for B in range(sig.dimension):
+                    sign, index = basis_mul(A, B, sig)
+                    assert mul_doubling(es[A], es[B]) == sign * es[index], (gammas, A, B)
 
 
 class TestMulTwist:
@@ -188,16 +194,21 @@ class TestMulTwist:
         with pytest.raises(ValueError, match="signature mismatch"):
             mul_twist(unit(STD(2)), unit(STD(3)))
 
-    def test_general_gamma_rejected(self):
+    def test_general_gamma_matches_doubling(self):
         gen = AlgebraSignature.from_gammas((1, 1))
-        with pytest.raises(ValueError, match="no closed-form twist"):
-            mul_twist(unit(gen), unit(gen))
+        e1, e2, e3 = (basis_element(gen, A) for A in (1, 2, 3))
+        assert mul_twist(e1, e1) == mul_twist(e2, e2) == unit(gen)  # both hyperbolic
+        assert mul_twist(e3, e3) == -unit(gen)
+        x = Element(gen, (1, Fraction(-2, 3), 5, Fraction(1, 2)))
+        y = Element(gen, (Fraction(3, 4), 0, -1, 7))
+        assert mul_twist(x, y) == mul_doubling(x, y)
 
     @pytest.mark.parametrize("sig", [STD(3), SPL(3)])
     def test_wrong_closed_form_is_detected_on_cold_cache(self, sig, monkeypatch):
-        attr = "twist" if sig.is_standard else "split_twist"
-        right = getattr(algebra, attr)
-        monkeypatch.setattr(algebra, attr, lambda A, B, level: right(A, B, level) ^ 1)
+        # every kind reads the one standard table, so a wrong standard twist
+        # is caught for the split kind too
+        right = algebra.twist
+        monkeypatch.setattr(algebra, "twist", lambda A, B, level: right(A, B, level) ^ 1)
         monkeypatch.setattr(algebra, "_twist_tables", {})
         with pytest.raises(InvariantViolation, match="block-doubling"):
             mul_twist(unit(sig), unit(sig))
@@ -291,6 +302,14 @@ class TestMulTwistKernel:
                         _assert_kernel_matches_doubling(x, y)
         assert list(algebra._twist_tables) == [9]
         assert algebra._twist_tables[9] is table
+
+    def test_mask_groups_follow_the_popcount_rule(self):
+        # all-hyperbolic at level 3: eight one-term groups, every sign from the mask
+        sig = AlgebraSignature.from_gammas((1, 1, 1))
+        es = [basis_element(sig, A) for A in range(8)]
+        for x in es:
+            for y in es:
+                _assert_kernel_matches_doubling(x, y)
 
     def test_a_higher_level_replaces_the_table(self):
         algebra._twist_tables.clear()
@@ -479,6 +498,42 @@ class TestMulDoublingMatchesPrunedRecursion:
                 x = _sparse_element(sig, rng, terms, fractions)
                 y = _sparse_element(sig, rng, terms, fractions)
                 _assert_matches_pruned(x, y)
+
+
+# Two fixed vectors that are neither the standard nor the split shape.
+NON_SPLIT = ["alternating", "irregular"]
+
+
+@pytest.mark.parametrize("kind", NON_SPLIT)
+class TestMulTwistGeneralGammas:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_dense(self, kind, n):
+        rng = random.Random(f"general-dense:{kind}:{n}")
+        sig = _signature_of(kind, n)
+        for draw in (random_element, _fraction_element):
+            _assert_kernel_matches_doubling(draw(sig, rng), draw(sig, rng))
+
+    def test_sparse_levels_10_and_11_take_the_scalar_path(self, kind):
+        rng = random.Random(f"general-sparse:{kind}")
+        for n in (10, 11):
+            sig = _signature_of(kind, n)
+            for fractions in (False, True):
+                x = _sparse_element(sig, rng, 7, fractions)
+                y = _sparse_element(sig, rng, 6, fractions)
+                algebra._twist_tables.clear()
+                _assert_kernel_matches_doubling(x, y)
+                assert not algebra._twist_tables
+
+    def test_star_never_calls_the_doubling_engine(self, kind, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("x * y called mul_doubling")
+
+        rng = random.Random(f"general-star:{kind}")
+        sig = _signature_of(kind, 4)
+        x, y = random_element(sig, rng), _fraction_element(sig, rng)
+        want = mul_doubling(x, y)
+        monkeypatch.setattr(algebra, "mul_doubling", forbidden)
+        assert x * y == want
 
 
 def _raise_if_called(*args, **kwargs):

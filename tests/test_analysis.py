@@ -84,15 +84,21 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("sig", [STD(4), SPL(4)])
     def test_wrong_closed_form_is_detected(self, sig, monkeypatch):
-        attr = "twist_batch" if sig.is_standard else "split_twist_batch"
-        right = getattr(analysis, attr)
-        monkeypatch.setattr(analysis, attr, lambda A, B, level: right(A, B, level) ^ 1)
+        # every kind is checked against the standard batch form plus the mask term
+        right = analysis.twist_batch
+        monkeypatch.setattr(analysis, "twist_batch", lambda A, B, level: right(A, B, level) ^ 1)
         with pytest.raises(InvariantViolation, match="block-doubling"):
             build_table(sig)
 
-    def test_no_closed_form(self):
-        with pytest.raises(ValueError):
-            build_table(AlgebraSignature.from_gammas((1, 1)))
+    def test_general_gammas(self):
+        for gammas in [(1, 1), (1, -1, 1), (-1, 1, 1, -1)]:
+            sig = AlgebraSignature.from_gammas(gammas)
+            table = build_table(sig)
+            oracle = analysis._oracle_parity_table(sig)
+            for A in range(sig.dimension):
+                for B in range(sig.dimension):
+                    assert table.entry(A, B) == ((-1) ** oracle[A][B], A ^ B)
+                    assert table.entry(A, B) == basis_mul(A, B, sig)
 
 
 class TestTwistLaws:
@@ -312,6 +318,14 @@ class TestEngines:
         (report,) = verify_engines(sig, samples=40, seed=2)
         assert report.holds
         assert report.checked > 40  # exhaustive basis pairs included
+
+    @pytest.mark.parametrize("gammas", [(1, -1, 1, -1, 1), (-1, 1, 1, -1, -1, 1)])
+    def test_agree_on_general_gammas(self, gammas):
+        sig = AlgebraSignature.from_gammas(gammas)
+        (report,) = verify_engines(sig, samples=40, seed=2)
+        assert report.holds and report.witness is None
+        assert report.kind == "gamma:" + ",".join(f"{g:+d}" for g in gammas)
+        assert report.checked == 4 ** sig.level + analysis._samples_for_level(40, sig.level)
 
 
 class TestAnchoring:

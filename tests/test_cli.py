@@ -107,12 +107,21 @@ class TestMul:
         assert code == 0
         assert out == want
 
-    def test_twist_engine_needs_a_closed_form(self, capsys):
+    def test_twist_engine_takes_any_gamma(self, capsys):
         code, out, err = run(
-            capsys, "mul", "--gamma", "+1,+1", "--engine", "twist", "0,1,0,0", "0,1,0,0"
+            capsys, "mul", "--gamma=+1,+1", "--engine", "twist", "0,1,0,0", "0,1,0,0"
         )
-        assert code == 1 and out == ""
-        assert "closed" in err
+        assert code == 0 and err == ""
+        assert out == "1,0,0,0\n"  # g_0 is hyperbolic
+
+    def test_general_gamma_output_is_golden(self, capsys):
+        # frozen from `--engine doubling`; `both` checks the twist engine against it
+        code, out, _ = run(
+            capsys, "mul", "--gamma=+1,-1,+1", "--engine", "both",
+            "1/2,-3,2/3,0,5/4,-1,0,7/6", "0,1/3,-2,3/5,0,4,-1/2,1",
+        )
+        assert code == 0
+        assert out == "19/6,-77/20,-941/120,959/180,-361/30,-17/12,1123/180,-13/12\n"
 
 
 class TestTable:

@@ -1,5 +1,8 @@
 """Tests for the sign (twist) functions, closed form vs recursion."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,13 +188,17 @@ def _kinds_through(top):
     return [(n, split) for n in range(top + 1) for split in (False, True) if n or not split]
 
 
+def _split_mask(level, split):
+    return 1 << (level - 1) if split else 0
+
+
 class TestTwistMatrix:
     @pytest.mark.parametrize("level, split", _kinds_through(8))
     def test_matches_scalar_exhaustive(self, level, split):
         fn = split_twist if split else twist
         dim = 1 << level
         expected = [[fn(A, B, level) for B in range(dim)] for A in range(dim)]
-        matrix = twist_matrix(level, split)
+        matrix = twist_matrix(level, _split_mask(level, split))
         assert matrix.dtype == np.uint8
         assert matrix.tolist() == expected
 
@@ -199,11 +206,37 @@ class TestTwistMatrix:
     def test_matches_doubling_oracle_exhaustive(self, level, split):
         sig = (AlgebraSignature.split if split else AlgebraSignature.standard)(level)
         oracle = [list(row) for row in _oracle_parity_table(sig)]
-        assert twist_matrix(level, split).tolist() == oracle
+        assert twist_matrix(level, _split_mask(level, split)).tolist() == oracle
+
+    @pytest.mark.parametrize("level", range(1, 10))
+    def test_every_gamma_vector_matches_the_doubling_oracle(self, level):
+        # every vector through level 6 (126 in all), two seeded ones per level above
+        vectors = list(itertools.product((-1, 1), repeat=level))
+        if level > 6:
+            vectors = random.Random(f"gammas:{level}").sample(vectors, 2)
+        for gammas in vectors:
+            sig = AlgebraSignature.from_gammas(gammas)
+            oracle = np.frombuffer(b"".join(_oracle_parity_table(sig)), dtype=np.uint8)
+            matrix = twist_matrix(level, sig.mask)
+            assert (matrix.ravel() == oracle).all(), gammas
+
+    @pytest.mark.parametrize("level", range(1, 6))
+    def test_scalar_and_batch_follow_the_mask(self, level):
+        dim = 1 << level
+        A, B = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+        base = twist_matrix(level)
+        for mask in range(dim):
+            matrix = twist_matrix(level, mask)
+            scalar = [[twist(a, b, level, mask) for b in range(dim)] for a in range(dim)]
+            assert matrix.tolist() == scalar, mask
+            assert (twist_batch(A, B, level, mask) == matrix).all(), mask
+            assert (matrix ^ base == np.bitwise_count(A & B & mask) & 1).all(), mask
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="split needs 1"):
-            twist_matrix(0, split=True)
+        with pytest.raises(ValueError, match="mask"):
+            twist_matrix(0, mask=1)
+        with pytest.raises(ValueError, match="mask"):
+            twist_matrix(3, mask=8)
         with pytest.raises(ValueError, match="level"):
             twist_matrix(-1)
 
