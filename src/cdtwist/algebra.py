@@ -18,8 +18,10 @@ must agree:
   ``mask`` has bit k set where gammas[k] = +1; coefficients are multiplied
   as Python ints over one common denominator per operand.
 * ``mul_doubling`` splits each operand into (low, high) halves and
-  recurses with the level's doubling parameter, ending at the scalar
-  (level-1) step. It calls nothing from the twist layer and serves as the
+  recurses with the level's doubling parameter, ending at a written-out
+  level-2 step and skipping every sub-product with an all-zero factor;
+  like ``mul_twist`` it multiplies Python ints over one common denominator
+  per operand. It calls nothing from the twist layer and serves as the
   independent oracle.
 
 Coefficients must be exact rationals (int or Fraction); floats are
@@ -384,28 +386,54 @@ def _mul_rec(x: tuple, y: tuple, gammas: tuple[int, ...]) -> tuple:
         # The halves are scalars, where conj is the identity.
         (a, b), (c, d) = x, y
         return (add_db(a * c, d * b), d * a + b * c)
-    # A zero operand gives a zero product without recursing; a sparse
-    # level-14 operand would otherwise unfold all 4**14 leaf products.
-    if not (any(x) and any(y)):
-        return (0,) * len(x)
+    if len(gammas) == 2:
+        # The four level-1 sub-products written out, with h = gammas[0]
+        # and conj(p, q) = (p, -q): a = (x0, x1), b = (x2, x3), c = (y0, y1),
+        # d = (y2, y3).
+        h, g = gammas
+        x0, x1, x2, x3 = x
+        y0, y1, y2, y3 = y
+        return (
+            x0 * y0 + h * y1 * x1 + g * (y2 * x2 - h * x3 * y3),
+            y1 * x0 + x1 * y0 + g * (y2 * x3 - y3 * x2),
+            y2 * x0 + h * x1 * y3 + x2 * y0 - h * y1 * x3,
+            x1 * y2 + y3 * x0 + x3 * y0 - y1 * x2,
+        )
+    # A sub-product with an all-zero factor is zero and is not recursed
+    # into: a sparse pair follows at most one branch per pair of terms at
+    # each level, instead of unfolding all 4**(n-2) level-2 steps.
     h, sub = len(x) // 2, gammas[:-1]
     a, b, c, d = x[:h], x[h:], y[:h], y[h:]
-    low = map(add_db, _mul_rec(a, c, sub), _mul_rec(_conj_tuple(d), b, sub))
-    high = map(operator.add, _mul_rec(d, a, sub), _mul_rec(b, _conj_tuple(c), sub))
-    return (*low, *high)
+    a_nz, b_nz, c_nz, d_nz = any(a), any(b), any(c), any(d)
+    zero = (0,) * h
+    ac = _mul_rec(a, c, sub) if a_nz and c_nz else zero
+    db = _mul_rec(_conj_tuple(d), b, sub) if d_nz and b_nz else zero
+    da = _mul_rec(d, a, sub) if d_nz and a_nz else zero
+    bc = _mul_rec(b, _conj_tuple(c), sub) if b_nz and c_nz else zero
+    return (*map(add_db, ac, db), *map(operator.add, da, bc))
 
 
 def mul_doubling(x: Element, y: Element) -> Element:
     """Product through the recursive doubling construction.
 
     Splits each operand into (low, high) halves and recurses with the
-    level's doubling parameter, down to the level-1 step, where both halves
-    are scalars and conjugation is the identity. Works for every +-1
-    parameter vector and calls nothing from the twist layer, so it is
-    strictly more general than the twist engine and serves as its oracle.
+    level's doubling parameter down to the level-2 step, which writes out
+    its four level-1 sub-products; a sub-product with an all-zero factor is
+    skipped. Each operand is first brought to one common denominator, so
+    the recursion multiplies Python ints, and the nonzero outputs are
+    divided back once: the product is bilinear, so this is exact. Works for
+    every +-1 parameter vector and calls nothing from the twist layer, so it
+    is strictly more general than the twist engine and serves as its oracle.
     """
     x._require_same_signature(y)
-    return Element(x.signature, _mul_rec(x.coeffs, y.coeffs, x.signature.gammas))
+    dx, dy = _common_denominator(x.coeffs), _common_denominator(y.coeffs)
+    xs = x.coeffs if dx is None else tuple(_scaled(c, dx) if c else 0 for c in x.coeffs)
+    ys = y.coeffs if dy is None else tuple(_scaled(c, dy) if c else 0 for c in y.coeffs)
+    out = _mul_rec(xs, ys, x.signature.gammas)
+    if dx or dy:
+        d = (dx or 1) * (dy or 1)
+        out = tuple(Fraction(c, d) if c else 0 for c in out)
+    return Element(x.signature, out)
 
 
 def conjugate(x: Element) -> Element:

@@ -94,7 +94,12 @@ def ell(A: int, B: int) -> int:
     return max(degree(A), degree(B), degree(A ^ B))
 
 
-def _check_pair(A: int, B: int, level: int) -> None:
+def _check_mask(level: int, mask: int) -> None:
+    if not 0 <= mask < 1 << level:
+        raise ValueError(f"mask must lie in [0, {1 << level}) for level {level}, got {mask}")
+
+
+def _check_pair(A: int, B: int, level: int, mask: int = 0) -> None:
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     bound = 1 << level
@@ -103,6 +108,8 @@ def _check_pair(A: int, B: int, level: int) -> None:
             f"indices must lie in [0, {bound}) for level {level}, "
             f"got ({A}, {B})"
         )
+    if mask:
+        _check_mask(level, mask)
 
 
 def twist(A: int, B: int, level: int, mask: int = 0) -> int:
@@ -116,7 +123,7 @@ def twist(A: int, B: int, level: int, mask: int = 0) -> int:
     upward cannot change the result. A nonzero ``mask`` (bit k set where
     gamma_k = +1) adds popcount(A & B & mask); see ``twist_matrix``.
     """
-    _check_pair(A, B, level)
+    _check_pair(A, B, level, mask)
     gamma = (A & B & mask).bit_count()
     if A == 0 or B == 0:
         return 0
@@ -206,6 +213,7 @@ def twist_batch(A, B, level: int, mask: int = 0) -> np.ndarray:
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
+    _check_mask(level, mask)
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if A.shape != B.shape:
@@ -270,8 +278,7 @@ def twist_matrix(level: int, mask: int = 0) -> np.ndarray:
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if not 0 <= mask < 1 << level:
-        raise ValueError(f"mask must lie in [0, {1 << level}) for level {level}, got {mask}")
+    _check_mask(level, mask)
     out = np.zeros((1 << level, 1 << level), dtype=np.uint8)
     for k in range(level):
         h = 1 << k

@@ -375,9 +375,11 @@ class TestMulDoubling:
 # The doubling recursion as written before it became the plain formula:
 # sub-products with an all-zero factor are pruned and zero halves reused.
 # Kept word for word (only the names differ) as the reference that
-# mul_doubling must reproduce exactly. Values, not types, are compared: the
-# formula multiplies zero halves down to level 0, where 0 * Fraction gives
-# Fraction(0) and the pruned form keeps an int 0.
+# mul_doubling must reproduce exactly. It multiplies Fractions directly, so
+# it also checks the oracle's scaling to one common denominator. Values, not
+# types, are compared: the oracle returns every zero output, a skipped
+# sub-product's included, as int 0, where this form may sum Fractions to
+# Fraction(0).
 def _pruned_conj_tuple(v: tuple) -> tuple:
     return (v[0],) + tuple(-c for c in v[1:])
 
@@ -563,8 +565,8 @@ def test_mul_doubling_and_norm_never_touch_the_twist(kind, monkeypatch):
     "gammas", [g for n in (1, 2) for g in itertools.product((-1, 1), repeat=n)]
 )
 def test_every_gamma_vector_at_levels_1_and_2(gammas):
-    # The recursion ends at the level-1 step; check it, and one step above
-    # it, on every basis pair and the zero element, for every parameter vector.
+    # Level 1 keeps its scalar step and level 2 is written out; check both
+    # on every basis pair and the zero element, for every parameter vector.
     sig = AlgebraSignature.from_gammas(gammas)
     operands = [zero(sig)] + [basis_element(sig, A) for A in range(sig.dimension)]
     for x in operands:
@@ -572,6 +574,141 @@ def test_every_gamma_vector_at_levels_1_and_2(gammas):
             _assert_matches_pruned(x, y)
     rng = random.Random(f"gammas:{gammas}")
     _assert_matches_pruned(_fraction_element(sig, rng), _fraction_element(sig, rng))
+
+
+def _nonzero_element(sig, rng) -> Element:
+    # every coefficient nonzero, so no half of any size is all zero
+    return Element(sig, [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(sig.dimension)])
+
+
+def _mixed_element(sig, rng) -> Element:
+    # ints and Fractions side by side in one operand
+    return Element(
+        sig,
+        [
+            Fraction(rng.randint(-9, 9), rng.randint(2, 5)) if A % 3 else rng.randint(-9, 9)
+            for A in range(sig.dimension)
+        ],
+    )
+
+
+def _coprime_element(sig, rng) -> Element:
+    # denominators 5, 7, 8 and 9 together: the common denominator is 2520
+    return Element(
+        sig,
+        [Fraction(rng.randint(-9, 9), (5, 7, 8, 9)[A % 4]) for A in range(sig.dimension)],
+    )
+
+
+def _block_sparse_element(sig, rng) -> Element:
+    # eight dense blocks of eight coefficients, the rest zero
+    coeffs = [0] * sig.dimension
+    for start in rng.sample(range(0, sig.dimension, 8), 8):
+        coeffs[start : start + 8] = _nonzero_element(STD(3), rng).coeffs
+    return Element(sig, coeffs)
+
+
+def _count_mul_rec_calls(monkeypatch) -> list:
+    calls = []
+    inner = algebra._mul_rec
+
+    def counting(x, y, gammas):
+        calls.append(len(gammas))
+        return inner(x, y, gammas)
+
+    monkeypatch.setattr(algebra, "_mul_rec", counting)
+    return calls
+
+
+class TestOracleScalingAndPruning:
+    """The oracle on ints over one common denominator, its written-out
+    level-2 step and its skipped zero-factor sub-products, against the
+    Fraction-direct pruned reference."""
+
+    @pytest.mark.parametrize(
+        "gammas", [g for n in (2, 3) for g in itertools.product((-1, 1), repeat=n)]
+    )
+    def test_every_gamma_vector_at_levels_2_and_3(self, gammas):
+        sig = AlgebraSignature.from_gammas(gammas)
+        rng = random.Random(f"level-2-step:{gammas}")
+        draws = (_nonzero_element, random_element, _fraction_element, _mixed_element)
+        for draw_x in draws:
+            for draw_y in draws:
+                _assert_matches_pruned(draw_x(sig, rng), draw_y(sig, rng))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_coprime_denominators(self, kind):
+        rng = random.Random(f"coprime:{kind}")
+        for n in range(kind == "split", 8):
+            sig = _signature_of(kind, n)
+            x, y = _coprime_element(sig, rng), _coprime_element(sig, rng)
+            _assert_matches_pruned(x, y)
+            _assert_matches_pruned(x, random_element(sig, rng))
+            _assert_matches_pruned(_mixed_element(sig, rng), y)
+            assert norm(x) == _pruned_mul_rec(
+                x.coeffs, _pruned_conj_tuple(x.coeffs), sig.gammas
+            )[0]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_half_zero_in_turn(self, kind):
+        # a, b (the halves of x) and c, d (of y): each one zero in turn; the
+        # other halves are dense up to level 7 and block-sparse above it
+        rng = random.Random(f"block-sparse:{kind}")
+        for n in range(3, 11):
+            sig = _signature_of(kind, n)
+            h = sig.dimension // 2
+            draw = (_fraction_element, _nonzero_element, _block_sparse_element)[(n > 5) + (n > 7)]
+            for quarter in range(4):
+                x, y = list(draw(sig, rng).coeffs), list(draw(sig, rng).coeffs)
+                operand = x if quarter < 2 else y
+                start = h * (quarter % 2)
+                operand[start : start + h] = [0] * h
+                _assert_matches_pruned(Element(sig, x), Element(sig, y))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_operand(self, kind):
+        rng = random.Random(f"zero-operand:{kind}")
+        for n in range(kind == "split", 9):
+            sig = _signature_of(kind, n)
+            for y in (_fraction_element(sig, rng), _nonzero_element(sig, rng)):
+                for product in (mul_doubling(zero(sig), y), mul_doubling(y, zero(sig))):
+                    assert product == zero(sig)
+                    assert all(type(c) is int for c in product.coeffs)
+            assert norm(zero(sig)) == 0
+
+    def test_fractional_products_are_divided_back_once(self):
+        sig = STD(3)
+        half = Element(sig, [Fraction(1, 2)] + [0] * 7)
+        third = Element(sig, [0, Fraction(1, 3)] + [0] * 6)
+        assert mul_doubling(half, third).coeffs == (0, Fraction(1, 6)) + (0,) * 6
+        assert mul_doubling(half, half).coeffs == (Fraction(1, 4),) + (0,) * 7
+        whole = Element(sig, [Fraction(4, 2)] * 8)
+        assert mul_doubling(whole, unit(sig)) == Element(sig, [2] * 8)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_a_single_term_pair_makes_one_call_per_level_down_to_2(self, n, monkeypatch):
+        rng = random.Random(f"single-term:{n}")
+        sig = STD(n)
+        pairs = [(0, 0), (sig.dimension - 1, sig.dimension - 1)]
+        pairs += [(rng.randrange(sig.dimension), rng.randrange(sig.dimension)) for _ in range(4)]
+        calls = _count_mul_rec_calls(monkeypatch)
+        for A, B in pairs:
+            calls.clear()
+            x, y = basis_element(sig, A), basis_element(sig, B)
+            product = mul_doubling(x, y)
+            assert calls == list(range(n, 1, -1)), (A, B)
+            sign, index = basis_mul(A, B, sig)
+            assert product == (basis_element(sig, index) if sign == 1 else -basis_element(sig, index))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_a_dense_pair_recurses_down_to_level_2(self, n, monkeypatch):
+        rng = random.Random(f"dense-calls:{n}")
+        sig = SPL(n)
+        x, y = _nonzero_element(sig, rng), _nonzero_element(sig, rng)
+        calls = _count_mul_rec_calls(monkeypatch)
+        mul_doubling(x, y)
+        assert len(calls) == (4 ** (n - 1) - 1) // 3
+        assert min(calls) == 2
 
 
 class TestDenseLevelCap:

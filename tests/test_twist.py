@@ -240,6 +240,28 @@ class TestTwistMatrix:
         with pytest.raises(ValueError, match="level"):
             twist_matrix(-1)
 
+    @pytest.mark.parametrize("level", range(6))
+    def test_entry_points_accept_the_same_masks(self, level):
+        # scalar, batch and matrix accept exactly [0, 2**level) and refuse
+        # the rest with one message
+        bound = 1 << level
+        for mask in range(bound):
+            twist(0, 0, level, mask)
+            twist_batch([0], [0], level, mask)
+            twist_matrix(level, mask)
+        for mask in (-1, bound, bound + 1, 2 * bound, 1 << 62):
+            message = f"mask must lie in \\[0, {bound}\\) for level {level}, got {mask}$"
+            with pytest.raises(ValueError, match=message):
+                twist(0, 0, level, mask)
+            with pytest.raises(ValueError, match=message):
+                twist(bound - 1, bound - 1, level, mask)
+            with pytest.raises(ValueError, match=message):
+                twist_batch([0], [0], level, mask)
+            with pytest.raises(ValueError, match=message):
+                twist_batch([], [], level, mask)
+            with pytest.raises(ValueError, match=message):
+                twist_matrix(level, mask)
+
 
 # -- property tests ----------------------------------------------------------
 
