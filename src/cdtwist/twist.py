@@ -108,8 +108,8 @@ def _check_pair(A: int, B: int, level: int, mask: int = 0) -> None:
             f"indices must lie in [0, {bound}) for level {level}, "
             f"got ({A}, {B})"
         )
-    if mask:
-        _check_mask(level, mask)
+    if not 0 <= mask < bound:
+        _check_mask(level, mask)  # raises
 
 
 def twist(A: int, B: int, level: int, mask: int = 0) -> int:

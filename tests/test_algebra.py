@@ -698,7 +698,7 @@ class TestOracleScalingAndPruning:
             product = mul_doubling(x, y)
             assert calls == list(range(n, 1, -1)), (A, B)
             sign, index = basis_mul(A, B, sig)
-            assert product == (basis_element(sig, index) if sign == 1 else -basis_element(sig, index))
+            assert product == sign * basis_element(sig, index)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_a_dense_pair_recurses_down_to_level_2(self, n, monkeypatch):
