@@ -9,20 +9,18 @@ doubling parameter per level, each -1 (imaginary new unit) or +1
 (hyperbolic new unit).
 
 Two multiplication engines are provided, for every parameter vector, and
-must agree:
+must agree. Both multiply Python ints over one common denominator per
+operand, by one shared rule (``_as_ints``, ``_divided_back``):
 
-* ``mul_twist`` expands the product bilinearly over basis pairs using the
-  closed-form twist exponents. It reads one standard sign table and gets
-  every other kind's signs from it by the mask rule, sigma_gamma(A, B) =
-  sigma(A, B) + popcount(A & B & mask) (mod 2), where the signature's
-  ``mask`` has bit k set where gammas[k] = +1; coefficients are multiplied
-  as Python ints over one common denominator per operand.
+* ``mul_twist`` expands the product over basis pairs with one sign source:
+  rows of the standard twist, read from a fixed level-9 table and doubled
+  upward above it (``_twist_row``). Every other kind's signs follow by the
+  mask rule, sigma_gamma(A, B) = sigma(A, B) + popcount(A & B & mask)
+  (mod 2), where ``mask`` has bit k set where gammas[k] = +1.
 * ``mul_doubling`` splits each operand into (low, high) halves and
   recurses with the level's doubling parameter, ending at a written-out
-  level-2 step and skipping every sub-product with an all-zero factor;
-  like ``mul_twist`` it multiplies Python ints over one common denominator
-  per operand. It calls nothing from the twist layer and serves as the
-  independent oracle.
+  level-2 step and skipping every sub-product with an all-zero factor. It
+  calls nothing from the twist layer and serves as the independent oracle.
 
 Coefficients must be exact rationals (int or Fraction); floats are
 rejected so that engine-equivalence checks stay bit-exact. Dense elements
@@ -291,41 +289,61 @@ def basis_mul(A: int, B: int, signature: AlgebraSignature) -> SignedIndex:
     return SignedIndex(-1 if exponent else 1, A ^ B)
 
 
-# The standard twist exponent table, one bytes row per first index. The
-# standard twist does not depend on the level (padding it upward changes
-# nothing), so the level-n table is the top-left 2**n block of any larger
-# one: the cache holds one table, at the highest level used so far, and
-# serves every level up to it. Levels above the cap take the scalar closed
-# form; 4**9 entries = 256 KiB.
-_TWIST_TABLE_CACHE_MAX_LEVEL = 9
+# The standard twist exponent table at level 9 (4**9 entries = 256 KiB),
+# one bytes row per first index, built on first use. The standard twist
+# does not depend on the level: a lower level's row is a prefix of it.
+_TABLE_LEVEL = 9
 _twist_tables: dict[int, list[bytes]] = {}
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # exponent 0 <-> 1
 
 
-def _twist_table(level: int) -> list[bytes]:
-    for cached_level, table in list(_twist_tables.items()):
-        if cached_level >= level:
-            return table
-    table = [row.tobytes() for row in twist_matrix(level)]
-    rng = random.Random(level)
-    for A, B in ((rng.getrandbits(level), rng.getrandbits(level)) for _ in range(256)):
-        if table[A][B] != twist(A, B, level):
-            raise InvariantViolation(
-                f"block-doubling table != closed form at ({A}, {B}) for level {level}"
-            )
-    _twist_tables.clear()
-    _twist_tables[level] = table
+def _twist_table() -> list[bytes]:
+    n = _TABLE_LEVEL
+    if n in _twist_tables:
+        return _twist_tables[n]
+    table = [row.tobytes() for row in twist_matrix(n)]
+    rng = random.Random(n)
+    for A, B in ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(256)):
+        if table[A][B] != twist(A, B, n):
+            raise InvariantViolation(f"block-doubling table != closed form at ({A}, {B})")
+    _twist_tables[n] = table
     return table
 
 
-def _common_denominator(coeffs) -> int | None:
-    """lcm of the nonzero coefficients' denominators; None if those are all ints."""
+def _twist_row(table: list[bytes], A: int, n: int) -> bytes:
+    """Standard exponents sigma(A, B) for B < 2**n (the whole level-9 row up to level 9).
+
+    Above level 9 the row doubles one level k at a time, as ``twist_matrix``
+    does: with A0 = A mod 2**k and d = [B != 0], row(A0) is [row(A0), col(A0)]
+    and row(A0 + 2**k) is [row(A0) ^ d, col(A0) ^ d ^ 1]. Distinct imaginary
+    units anticommute: col(A0) = row(A0) ^ d ^ [B = A0] for A0 != 0, col(0) = 0.
+    """
+    row = table[A % (1 << _TABLE_LEVEL)]
+    for k in range(_TABLE_LEVEL, n):
+        A0 = A % (1 << k)
+        flipped = b"\0" + row[1:].translate(_FLIP)  # row(A0) ^ d; sigma(A0, 0) = 0
+        col = flipped[:A0] + b"\1" + flipped[A0 + 1 :] if A0 else row
+        row = flipped + b"\1" + col[1:] if A >> k & 1 else row + col
+    return row
+
+
+def _as_ints(coeffs: tuple) -> tuple[Sequence, int | None]:
+    """The operand as ints over the lcm d of its denominators, and d (None: ints, as is)."""
     denominators = {c.denominator for c in filter(None, coeffs) if type(c) is not int}
-    return math.lcm(*denominators) if denominators else None
+    if not denominators:
+        return coeffs, None
+    d = math.lcm(*denominators)
+    return [c.numerator * (d // c.denominator) if c else 0 for c in coeffs], d
 
 
-def _scaled(c, d: int | None) -> int:
-    """``c`` times its operand's common denominator ``d``, as a Python int."""
-    return c if d is None else int(c.numerator) * (d // c.denominator)
+def _divided_back(out: Sequence, dx: int | None, dy: int | None) -> Sequence:
+    """Outputs divided by dx * dy once: nonzero ones become Fractions, zeros stay int 0."""
+    if dx is None and dy is None:
+        return out
+    d, out = (dx or 1) * (dy or 1), list(out)
+    for C in itertools.compress(range(len(out)), out):
+        out[C] = Fraction(out[C], d)
+    return out
 
 
 def mul_twist(x: Element, y: Element) -> Element:
@@ -335,49 +353,37 @@ def mul_twist(x: Element, y: Element) -> Element:
     vector adds popcount(A & B & mask) to it, so y's terms are grouped by
     g = B & mask and row A takes a group negated when A & g has odd
     popcount (one group for the standard kind, y's two halves for the
-    split one). Up to level 9 the signs are read from the cached table,
-    above it from scalar ``twist``. Coefficients are brought to one common
-    denominator per operand and multiplied as Python ints; the sums are
-    divided back once. Cost is O(4**n) integer operations on dense
-    operands; zero coefficients are skipped.
+    split one). Every row comes from ``_twist_row``, the cached level-9
+    table doubled upward. Each operand goes to one common denominator
+    (``_as_ints``), is multiplied as Python ints, and the sums are divided
+    back once. O(4**n) integer operations on dense operands; zero
+    coefficients are skipped.
     """
     x._require_same_signature(y)
-    sig = x.signature
+    sig, table = x.signature, _twist_table()
     n, mask = sig.level, sig.mask
-    table = _twist_table(n) if n <= _TWIST_TABLE_CACHE_MAX_LEVEL else None
-    dx, dy = _common_denominator(x.coeffs), _common_denominator(y.coeffs)
+    (xs, dx), (ys, dy) = _as_ints(x.coeffs), _as_ints(y.coeffs)
     groups: dict[int, list] = {}
-    ys = y.coeffs
     for B in itertools.compress(range(len(ys)), ys):
-        groups.setdefault(B & mask, []).append((B, _scaled(ys[B], dy)))
+        groups.setdefault(B & mask, []).append((B, ys[B]))
     out = [0] * sig.dimension
-    for A, xa in enumerate(x.coeffs):
-        if not xa:
-            continue
-        xa = _scaled(xa, dx)
-        if table:
-            row = table[A]
-        else:
-            row = {B: twist(A, B, n) for terms in groups.values() for B, _ in terms}
+    for A in itertools.compress(range(len(xs)), xs):
+        xa, row = xs[A], _twist_row(table, A, n)
         for g, terms in groups.items():
-            xs = -xa if (A & g).bit_count() & 1 else xa
+            xs_g = -xa if (A & g).bit_count() & 1 else xa
             for B, yb in terms:
                 if row[B]:
-                    out[A ^ B] -= xs * yb
+                    out[A ^ B] -= xs_g * yb
                 else:
-                    out[A ^ B] += xs * yb
-    if dx or dy:
-        d = (dx or 1) * (dy or 1)
-        for C in itertools.compress(range(len(out)), out):
-            out[C] = Fraction(out[C], d)
-    return Element(sig, out)
+                    out[A ^ B] += xs_g * yb
+    return Element(sig, _divided_back(out, dx, dy))
 
 
 def _conj_tuple(v: tuple) -> tuple:
     return (v[0], *map(operator.neg, v[1:]))
 
 
-def _mul_rec(x: tuple, y: tuple, gammas: tuple[int, ...]) -> tuple:
+def _mul_rec(x: Sequence, y: Sequence, gammas: tuple[int, ...]) -> tuple:
     # (a,b)(c,d) = (ac + g * conj(d) b, da + b conj(c)) with g = gammas[-1].
     if not gammas:
         return (x[0] * y[0],)
@@ -419,21 +425,14 @@ def mul_doubling(x: Element, y: Element) -> Element:
     Splits each operand into (low, high) halves and recurses with the
     level's doubling parameter down to the level-2 step, which writes out
     its four level-1 sub-products; a sub-product with an all-zero factor is
-    skipped. Each operand is first brought to one common denominator, so
-    the recursion multiplies Python ints, and the nonzero outputs are
-    divided back once: the product is bilinear, so this is exact. Works for
-    every +-1 parameter vector and calls nothing from the twist layer, so it
-    is strictly more general than the twist engine and serves as its oracle.
+    skipped. The recursion multiplies ints over each operand's common
+    denominator, divided back once (exact: the product is bilinear). It
+    calls nothing from the twist layer and serves as the twist engine's oracle.
     """
     x._require_same_signature(y)
-    dx, dy = _common_denominator(x.coeffs), _common_denominator(y.coeffs)
-    xs = x.coeffs if dx is None else tuple(_scaled(c, dx) if c else 0 for c in x.coeffs)
-    ys = y.coeffs if dy is None else tuple(_scaled(c, dy) if c else 0 for c in y.coeffs)
+    (xs, dx), (ys, dy) = _as_ints(x.coeffs), _as_ints(y.coeffs)
     out = _mul_rec(xs, ys, x.signature.gammas)
-    if dx or dy:
-        d = (dx or 1) * (dy or 1)
-        out = tuple(Fraction(c, d) if c else 0 for c in out)
-    return Element(x.signature, out)
+    return Element(x.signature, _divided_back(out, dx, dy))
 
 
 def conjugate(x: Element) -> Element:

@@ -218,7 +218,7 @@ def _assert_kernel_matches_doubling(x: Element, y: Element) -> None:
     got = mul_twist(x, y)
     assert got == mul_doubling(x, y), x.signature
     assert {type(c) for c in got.coeffs} <= {int, Fraction}
-    assert len(algebra._twist_tables) <= 1
+    assert list(algebra._twist_tables) == [9]
 
 
 def _both_kinds(n: int):
@@ -277,7 +277,7 @@ class TestMulTwistKernel:
             for draw in (random_element, _fraction_element):
                 _assert_kernel_matches_doubling(draw(sig, rng), draw(sig, rng))
 
-    def test_sparse_levels_10_to_12_take_the_scalar_path(self):
+    def test_sparse_levels_10_to_12(self):
         rng = random.Random("sparse")
         for n in (10, 11, 12):
             for sig in _both_kinds(n):
@@ -286,7 +286,57 @@ class TestMulTwistKernel:
                     y = _sparse_element(sig, rng, 5, fractions)
                     algebra._twist_tables.clear()
                     _assert_kernel_matches_doubling(x, y)
-                    assert not algebra._twist_tables
+
+    @pytest.mark.parametrize("n", [10, 11])
+    @pytest.mark.parametrize("kind", ["standard", "split", "irregular"])
+    def test_dense_levels_10_and_11(self, kind, n):
+        rng = random.Random(f"dense-high:{kind}:{n}")
+        sig = _signature_of(kind, n)
+        _assert_kernel_matches_doubling(random_element(sig, rng), random_element(sig, rng))
+
+    def test_dense_fraction_pair_at_level_10(self):
+        rng = random.Random("dense-high:fraction")
+        sig = SPL(10)
+        _assert_kernel_matches_doubling(_fraction_element(sig, rng), _fraction_element(sig, rng))
+
+    @pytest.mark.parametrize("sig", [STD(10), SPL(10)])
+    def test_warm_dense_level_10_product_makes_no_scalar_twist_call(self, sig, monkeypatch):
+        rng = random.Random(f"no-scalar:{sig.kind}")
+        x, y = random_element(sig, rng), random_element(sig, rng)
+        mul_twist(unit(STD(9)), unit(STD(9)))  # fills the table cache
+        calls = []
+        right = algebra.twist
+
+        def counting(*args):
+            calls.append(args)
+            return right(*args)
+
+        monkeypatch.setattr(algebra, "twist", counting)
+        got = x * y
+        assert len(calls) == 0
+        assert got == mul_doubling(x, y)
+
+    def test_coefficient_types_match_the_oracle(self):
+        # Any operand with a nonzero Fraction (denominator 1 included) makes
+        # every nonzero output a Fraction; zero outputs stay int 0.
+        rng = random.Random("types")
+        for sig in _both_kinds(4):
+            operands = [
+                zero(sig),
+                random_element(sig, rng),
+                _fraction_element(sig, rng),
+                _mixed_element(sig, rng),
+                Element(sig, [Fraction(c) for c in _nonzero_element(sig, rng).coeffs]),
+                basis_element(sig, 5),
+            ]
+            for x in operands:
+                for y in operands:
+                    got, want = mul_twist(x, y), mul_doubling(x, y)
+                    assert got == want
+                    assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+                    fractional = any(type(c) is Fraction for c in x.coeffs + y.coeffs if c)
+                    for c in got.coeffs:
+                        assert type(c) is (Fraction if fractional and c else int), (x, y)
 
     def test_small_levels_reuse_the_level_9_table(self):
         rng = random.Random("reuse")
@@ -311,12 +361,40 @@ class TestMulTwistKernel:
             for y in es:
                 _assert_kernel_matches_doubling(x, y)
 
-    def test_a_higher_level_replaces_the_table(self):
+    def test_every_level_and_kind_keeps_only_the_level_9_table(self):
+        rng = random.Random("one-table")
         algebra._twist_tables.clear()
-        for n in (3, 2, 5, 4):
-            mul_twist(unit(STD(n)), unit(STD(n)))
-            assert len(algebra._twist_tables) == 1
-        assert list(algebra._twist_tables) == [5]
+        for n in range(15):
+            for kind in KINDS if n else ["standard"]:
+                sig = _signature_of(kind, n)
+                x = _sparse_element(sig, rng, min(3, sig.dimension), False)
+                _assert_kernel_matches_doubling(x, unit(sig))
+                _assert_kernel_matches_doubling(unit(sig), x)
+
+
+class TestTwistRow:
+    """Rows of the level-9 table doubled upward against the batch closed form."""
+
+    @staticmethod
+    def _assert_row(table, A: int, n: int) -> None:
+        B = np.arange(1 << n)
+        want = twist_module.twist_batch(np.full_like(B, A), B, n).tobytes()
+        assert algebra._twist_row(table, A, n)[: 1 << n] == want, (A, n)
+
+    @pytest.mark.parametrize("n", [3, 9, 10])
+    def test_every_row(self, n):
+        table = algebra._twist_table()
+        for A in range(1 << n):
+            self._assert_row(table, A, n)
+
+    @pytest.mark.parametrize("n", range(11, 15))
+    def test_seeded_rows(self, n):
+        rng = random.Random(f"rows:{n}")
+        table = algebra._twist_table()
+        edges = (0, 1, 1 << 9, 1 << (n - 1), (1 << n) - 1)
+        for A in edges + tuple(rng.getrandbits(n) for _ in range(12)):
+            assert len(algebra._twist_row(table, A, n)) == 1 << n
+            self._assert_row(table, A, n)
 
 
 class TestMulDoubling:
@@ -515,7 +593,7 @@ class TestMulTwistGeneralGammas:
         for draw in (random_element, _fraction_element):
             _assert_kernel_matches_doubling(draw(sig, rng), draw(sig, rng))
 
-    def test_sparse_levels_10_and_11_take_the_scalar_path(self, kind):
+    def test_sparse_levels_10_and_11(self, kind):
         rng = random.Random(f"general-sparse:{kind}")
         for n in (10, 11):
             sig = _signature_of(kind, n)
@@ -524,7 +602,6 @@ class TestMulTwistGeneralGammas:
                 y = _sparse_element(sig, rng, 6, fractions)
                 algebra._twist_tables.clear()
                 _assert_kernel_matches_doubling(x, y)
-                assert not algebra._twist_tables
 
     def test_star_never_calls_the_doubling_engine(self, kind, monkeypatch):
         def forbidden(*args, **kwargs):
