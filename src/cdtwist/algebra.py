@@ -17,10 +17,14 @@ operand, by one shared rule (``_as_ints``, ``_divided_back``):
   upward above it (``_twist_row``). Every other kind's signs follow by the
   mask rule, sigma_gamma(A, B) = sigma(A, B) + popcount(A & B & mask)
   (mod 2), where ``mask`` has bit k set where gammas[k] = +1.
-* ``mul_doubling`` splits each operand into (low, high) halves and
-  recurses with the level's doubling parameter, ending at a written-out
-  level-2 step and skipping every sub-product with an all-zero factor. It
-  calls nothing from the twist layer and serves as the independent oracle.
+* ``mul_doubling`` evaluates the doubling formula in one of two orders.
+  Dense operands split into (low, high) halves and recurse with the
+  level's doubling parameter, ending at a written-out level-2 step and
+  skipping every sub-product with an all-zero factor. Sparse operands,
+  those with nnz(x) * nnz(y) * n <= 2**n, expand over their nonzero term
+  pairs instead, each pair's sign walked down the same formula from level
+  n to 0. It calls nothing from the twist layer and serves as the
+  independent oracle.
 
 Coefficients must be exact rationals (int or Fraction); floats are
 rejected so that engine-equivalence checks stay bit-exact. Dense elements
@@ -328,12 +332,22 @@ def _twist_row(table: list[bytes], A: int, n: int) -> bytes:
 
 
 def _as_ints(coeffs: tuple) -> tuple[Sequence, int | None]:
-    """The operand as ints over the lcm d of its denominators, and d (None: ints, as is)."""
-    denominators = {c.denominator for c in filter(None, coeffs) if type(c) is not int}
+    """The operand as ints over the lcm d of its denominators, and d.
+
+    d is None when no coefficient is a nonzero Fraction. An all-int operand
+    comes back as is; a zero Fraction, which the one pass over the
+    Fractions marks with 0, becomes int 0.
+    """
+    # Coefficients are int or Fraction (``Element`` converts the rest), so
+    # this filter, which runs in C, yields exactly the Fractions.
+    fractions = itertools.filterfalse(int.__instancecheck__, coeffs)
+    denominators = {c.denominator if c else 0 for c in fractions}
     if not denominators:
         return coeffs, None
+    denominators.discard(0)
     d = math.lcm(*denominators)
-    return [c.numerator * (d // c.denominator) if c else 0 for c in coeffs], d
+    ints = [c.numerator * (d // c.denominator) if c else 0 for c in coeffs]
+    return ints, d if denominators else None
 
 
 def _divided_back(out: Sequence, dx: int | None, dy: int | None) -> Sequence:
@@ -419,19 +433,75 @@ def _mul_rec(x: Sequence, y: Sequence, gammas: tuple[int, ...]) -> tuple:
     return (*map(add_db, ac, db), *map(operator.add, da, bc))
 
 
+def _term_sign(A: int, B: int, gammas: tuple[int, ...]) -> bool:
+    """True when e_A * e_B = -e_{A ^ B}, walked down the doubling formula.
+
+    At level k + 1, e_A is (e_A', 0) if bit k of A is clear and (0, e_A')
+    if it is set, with A' = A mod 2**k; likewise e_B. In
+    (a,b)(c,d) = (ac + g * conj(d) b, da + b conj(c)), g = gammas[k], only
+    one of the four sub-products has two nonzero factors, and
+    conj(e_B') = -e_B' unless B' = 0:
+
+    * bit clear in both: ac = e_A' e_B', the factors kept;
+    * set in both: g * conj(e_B') e_A', the factors swapped, times g and
+      times -1 if B' != 0;
+    * set in B only: da = e_B' e_A', the factors swapped;
+    * set in A only: b conj(c) = e_A' conj(e_B'), times -1 if B' != 0.
+
+    The survivor lands on index A' ^ B' of its half, so the product is
+    +-e_{A ^ B}, and the walk carries only the sign down to e_0 e_0 = e_0.
+    """
+    negative = False
+    for k in reversed(range(len(gammas))):
+        top = 1 << k
+        a_top, b_top = A & top, B & top
+        A, B = A ^ a_top, B ^ b_top
+        if b_top:
+            if a_top:  # g * conj(d) b
+                negative ^= (gammas[k] == -1) ^ (B != 0)
+            A, B = B, A
+        elif a_top and B:  # b conj(c)
+            negative = not negative
+    return negative
+
+
+def _mul_terms(xs: Sequence, ys: Sequence, gammas: tuple[int, ...]) -> list:
+    # The bilinear sum over the nonzero term pairs, one walked sign each.
+    size = len(xs)
+    out = [0] * size
+    y_terms = list(zip(itertools.compress(range(size), ys), filter(None, ys)))
+    for A, xa in zip(itertools.compress(range(size), xs), filter(None, xs)):
+        for B, yb in y_terms:
+            if _term_sign(A, B, gammas):
+                out[A ^ B] -= xa * yb
+            else:
+                out[A ^ B] += xa * yb
+    return out
+
+
 def mul_doubling(x: Element, y: Element) -> Element:
     """Product through the recursive doubling construction.
 
-    Splits each operand into (low, high) halves and recurses with the
-    level's doubling parameter down to the level-2 step, which writes out
-    its four level-1 sub-products; a sub-product with an all-zero factor is
-    skipped. The recursion multiplies ints over each operand's common
-    denominator, divided back once (exact: the product is bilinear). It
-    calls nothing from the twist layer and serves as the twist engine's oracle.
+    One formula, (a,b)(c,d) = (ac + g * conj(d) b, da + b conj(c)), in two
+    evaluation orders. Dense operands split into (low, high) halves and
+    recurse with the level's doubling parameter down to the written-out
+    level-2 step, skipping every sub-product with an all-zero factor
+    (``_mul_rec``). Sparse operands expand over their nonzero term pairs,
+    each pair's sign walked down the same formula (``_term_sign``). The
+    term order costs about nnz(x) * nnz(y) * n steps and the recursion at
+    least 2**n, so it is taken when nnz(x) * nnz(y) * n <= 2**n. Both run
+    on ints over each operand's common denominator, divided back once
+    (exact: the product is bilinear). The oracle calls nothing from the
+    twist layer and serves as the twist engine's check.
     """
     x._require_same_signature(y)
+    gammas = x.signature.gammas
     (xs, dx), (ys, dy) = _as_ints(x.coeffs), _as_ints(y.coeffs)
-    out = _mul_rec(xs, ys, x.signature.gammas)
+    size = len(xs)
+    if (size - xs.count(0)) * (size - ys.count(0)) * len(gammas) <= size:
+        out = _mul_terms(xs, ys, gammas)
+    else:
+        out = _mul_rec(xs, ys, gammas)
     return Element(x.signature, _divided_back(out, dx, dy))
 
 

@@ -763,17 +763,16 @@ class TestOracleScalingAndPruning:
         assert mul_doubling(whole, unit(sig)) == Element(sig, [2] * 8)
 
     @pytest.mark.parametrize("n", range(2, 15))
-    def test_a_single_term_pair_makes_one_call_per_level_down_to_2(self, n, monkeypatch):
+    def test_a_single_term_pair_takes_the_term_path(self, n, monkeypatch):
         rng = random.Random(f"single-term:{n}")
         sig = STD(n)
         pairs = [(0, 0), (sig.dimension - 1, sig.dimension - 1)]
         pairs += [(rng.randrange(sig.dimension), rng.randrange(sig.dimension)) for _ in range(4)]
         calls = _count_mul_rec_calls(monkeypatch)
         for A, B in pairs:
-            calls.clear()
             x, y = basis_element(sig, A), basis_element(sig, B)
             product = mul_doubling(x, y)
-            assert calls == list(range(n, 1, -1)), (A, B)
+            assert calls == [], (A, B)
             sign, index = basis_mul(A, B, sig)
             assert product == sign * basis_element(sig, index)
 
@@ -786,6 +785,102 @@ class TestOracleScalingAndPruning:
         mul_doubling(x, y)
         assert len(calls) == (4 ** (n - 1) - 1) // 3
         assert min(calls) == 2
+
+
+def _forbid_mul_rec(monkeypatch) -> None:
+    def forbidden(*args):
+        raise AssertionError("a sparse pair entered the recursion")
+
+    monkeypatch.setattr(algebra, "_mul_rec", forbidden)
+
+
+def _element_with_terms(sig, rng, terms: int, fractions: bool) -> Element:
+    # exactly `terms` nonzero coefficients; a Fraction operand holds zero
+    # Fractions in two of its zero slots as well
+    coeffs = _sparse_element(sig, rng, terms, fractions).coeffs
+    if fractions:
+        coeffs = list(coeffs)
+        zeros = [A for A, c in enumerate(coeffs) if not c]
+        for A in zeros[:2]:
+            coeffs[A] = Fraction(0)
+    return Element(sig, coeffs)
+
+
+class TestTermPath:
+    """Sparse operands expand over their nonzero term pairs, each sign
+    walked down the doubling formula; dense ones recurse. The term order is
+    taken when nnz(x) * nnz(y) * n <= 2**n."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_walked_sign_equals_the_recursion(self, n):
+        for gammas in itertools.product((-1, 1), repeat=n):
+            sig = AlgebraSignature.from_gammas(gammas)
+            es = [basis_element(sig, A).coeffs for A in range(sig.dimension)]
+            for A in range(sig.dimension):
+                for B in range(sig.dimension):
+                    want = _pruned_mul_rec(es[A], es[B], gammas)
+                    assert [C for C, c in enumerate(want) if c] == [A ^ B]
+                    assert algebra._term_sign(A, B, gammas) == (want[A ^ B] == -1), (
+                        gammas, A, B)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pairs_on_either_side_of_the_crossover(self, kind, monkeypatch):
+        rng = random.Random(f"crossover:{kind}")
+        calls = _count_mul_rec_calls(monkeypatch)
+        for n in range(4, 15):
+            sig = _signature_of(kind, n)
+            ny = 1 + n % 3
+            below = sig.dimension // (ny * n)  # nx * ny * n <= 2**n: terms
+            for nx, takes_terms in ((below, True), (below + 1, False)):
+                for fractions in (False, True):
+                    x = _element_with_terms(sig, rng, nx, fractions)
+                    y = _element_with_terms(sig, rng, ny, fractions)
+                    calls.clear()
+                    # the larger operand on the left for ints, on the right for Fractions
+                    _assert_matches_pruned(*((y, x) if fractions else (x, y)))
+                    assert (calls == []) == takes_terms, (n, nx, ny)
+                    for a, b in ((zero(sig), x), (x, zero(sig))):
+                        assert mul_doubling(a, b) == zero(sig)
+                        assert all(type(c) is int for c in mul_doubling(a, b).coeffs)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_sparse_level_14_pair_never_enters_the_recursion(self, kind, monkeypatch):
+        rng = random.Random(f"sparse-14:{kind}")
+        sig = _signature_of(kind, 14)
+        pairs = [
+            (_element_with_terms(sig, rng, 2 + i % 7, fractions),
+             _element_with_terms(sig, rng, 2 + (i + 3) % 7, fractions))
+            for i in range(4)
+            for fractions in (False, True)
+        ]
+        wants = [
+            (_pruned_mul_rec(x.coeffs, y.coeffs, sig.gammas),
+             _pruned_mul_rec(x.coeffs, _pruned_conj_tuple(x.coeffs), sig.gammas)[0])
+            for x, y in pairs
+        ]
+        _forbid_mul_rec(monkeypatch)
+        for (x, y), (product, square) in zip(pairs, wants):
+            assert mul_doubling(x, y).coeffs == product
+            assert mul_twist(x, y).coeffs == product
+            assert norm(x) == square
+
+    @pytest.mark.parametrize("n, recursion", [(2, True), (6, False)])
+    def test_a_zero_fraction_in_an_int_operand_gives_ints(self, n, recursion, monkeypatch):
+        # (Fraction(0), 1, 2, 3) * (1, 2, 0, 1): 3 * 3 * n is 18 > 4 at
+        # level 2 (the recursion) and 54 <= 64 at level 6 (the term path)
+        sig = STD(n)
+        pad = (0,) * (sig.dimension - 4)
+        x = Element(sig, (Fraction(0), 1, 2, 3) + pad)
+        y = Element(sig, (1, 2, 0, 1) + pad)
+        calls = _count_mul_rec_calls(monkeypatch)
+        for a, b in ((x, y), (y, x), (x, x)):
+            calls.clear()
+            got, want = mul_doubling(a, b), mul_twist(a, b)
+            assert bool(calls) == recursion
+            assert got == want
+            assert [type(c) for c in got.coeffs] == [int] * sig.dimension
+            assert [type(c) for c in want.coeffs] == [int] * sig.dimension
+        assert type(norm(x)) is int
 
 
 class TestDenseLevelCap:

@@ -1,11 +1,12 @@
 """Tests for tables, law sweeps, zero-divisor search, and benchmarks."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cdtwist import analysis
+from cdtwist import algebra, analysis
 from cdtwist.algebra import (
     AlgebraSignature,
     Element,
@@ -336,6 +337,21 @@ class TestAnchoring:
         assert report.checked == 1 << level
 
 
+def _support(x) -> tuple:
+    return tuple(A for A, c in enumerate(x.coeffs) if c)
+
+
+def _assert_two_term_hits_recheck(pairs, monkeypatch) -> None:
+    # Two-term operands take the oracle's term path: 2 * 2 * n <= 2**n.
+    def forbidden(*args):
+        raise AssertionError("a two-term product entered the recursion")
+
+    monkeypatch.setattr(algebra, "_mul_rec", forbidden)
+    for pair in pairs:
+        assert len(_support(pair.x)) == len(_support(pair.y)) == 2
+        assert mul_doubling(pair.x, pair.y).is_zero()
+
+
 class TestZeroDivisors:
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_none_below_sedenions(self, level):
@@ -352,6 +368,28 @@ class TestZeroDivisors:
             assert not pair.x.is_zero() and not pair.y.is_zero()
             assert pair.product.is_zero()
             assert mul_doubling(pair.x, pair.y).is_zero()
+
+    def test_sedenion_census_is_the_42_assessors(self, monkeypatch):
+        # de Marrais, "The 42 Assessors and the Box-Kites They Fly"
+        # (arXiv:math/0011260): in this indexing the assessors are
+        # e_i +- e_j with 1 <= i <= 7, 9 <= j <= 15, j != i + 8. The counts
+        # below are this package's exhaustive search, pinned as regressions.
+        pairs = find_zero_divisors(STD(4), 1 << 30)
+        assert len(pairs) == 336
+        supports = {_support(pair.x) for pair in pairs}
+        assessors = {(i, j) for i in range(1, 8) for j in range(9, 16) if j != i + 8}
+        assert len(assessors) == 42
+        assert supports == assessors
+        partners = Counter(pair.x.coeffs for pair in pairs)
+        assert len(partners) == 84
+        assert set(partners.values()) == {4}
+        _assert_two_term_hits_recheck(pairs, monkeypatch)
+
+    def test_level_5_census(self, monkeypatch):
+        pairs = find_zero_divisors(STD(5), 1 << 30)
+        assert len(pairs) == 5040
+        assert len({_support(pair.x) for pair in pairs}) == 294
+        _assert_two_term_hits_recheck(pairs, monkeypatch)
 
     def test_split_complex_idempotents(self):
         pairs = find_zero_divisors(SPL(1))
