@@ -467,10 +467,9 @@ def _term_sign(A: int, B: int, gammas: tuple[int, ...]) -> bool:
 
 def _mul_terms(xs: Sequence, ys: Sequence, gammas: tuple[int, ...]) -> list:
     # The bilinear sum over the nonzero term pairs, one walked sign each.
-    size = len(xs)
-    out = [0] * size
-    y_terms = list(zip(itertools.compress(range(size), ys), filter(None, ys)))
-    for A, xa in zip(itertools.compress(range(size), xs), filter(None, xs)):
+    out = [0] * len(xs)
+    y_terms = [(B, yb) for B, yb in itertools.compress(enumerate(ys), ys)]
+    for A, xa in itertools.compress(enumerate(xs), xs):
         for B, yb in y_terms:
             if _term_sign(A, B, gammas):
                 out[A ^ B] -= xa * yb
