@@ -10,7 +10,7 @@ doubling parameter per level, each -1 (imaginary new unit) or +1
 
 Two multiplication engines are provided, for every parameter vector, and
 must agree. Both multiply Python ints over one common denominator per
-operand, by one shared rule (``_as_ints``, ``_divided_back``):
+operand, by one shared rule (``_operand``, ``_divided_back``):
 
 * ``mul_twist`` expands the product over basis pairs with one sign source:
   rows of the standard twist, read from a fixed level-9 table and doubled
@@ -20,18 +20,30 @@ operand, by one shared rule (``_as_ints``, ``_divided_back``):
 * ``mul_doubling`` evaluates the doubling formula in one of two orders.
   Dense operands split into (low, high) halves and recurse with the
   level's doubling parameter, ending at a written-out level-2 step and
-  skipping every sub-product with an all-zero factor. Sparse operands,
-  those with nnz(x) * nnz(y) * n <= 2**n, expand over their nonzero term
-  pairs instead, each pair's sign walked down the same formula from level
-  n to 0. It calls nothing from the twist layer and serves as the
-  independent oracle.
+  skipping every sub-product with an all-zero factor. Sparse operands
+  above level 2, those with nnz(x) * nnz(y) * n <= 2**n, expand over their
+  nonzero term pairs instead, each pair's sign walked down the same
+  formula from level n to 0. It calls nothing from the twist layer and
+  serves as the independent oracle.
+
+A product should cost what its terms cost, so each engine call scans each
+coefficient vector at most once. ``Element`` validates its coefficient
+types in one pass and records whether any is a Fraction; one scan of an
+operand then gives its support (nonzero indices), and only an operand
+with a Fraction is scaled, over its support alone (``_operand``). Engine
+outputs (``mul_twist``, ``mul_doubling``, ``conjugate``) are not validated
+again: they are tuples of the right length whose entries are ints, or
+Fractions made by ``_divided_back`` or by negating one, so the check could
+never fail. They are built by ``Element._trusted``, which takes the
+Fraction flag from what the engine knows.
 
 Coefficients must be exact rationals (int or Fraction); floats are
 rejected so that engine-equivalence checks stay bit-exact. Dense elements
 stop at level ``MAX_DENSE_LEVEL``. Elements are immutable values and every
 operation here is pure, so everything is safe to share across threads; the
-one sign-table cache only ever holds a checked table from deterministic
-inputs, so a concurrent refill is harmless.
+two caches (the sign table and the index tuple of ``_support``) only ever
+hold values fixed by deterministic inputs, so a concurrent refill is
+harmless.
 """
 
 from __future__ import annotations
@@ -185,9 +197,14 @@ class Element:
     multiplication (`*` is ``mul_twist``). Equality is exact and only
     defined between elements of the same signature; comparing across
     signatures raises instead of returning False.
+
+    Construction makes one pass over the coefficient types: every entry
+    ends up an int or a Fraction, and ``_has_fraction`` records whether
+    any is a Fraction, so that the engines skip scaling an all-int
+    operand. Engine outputs come from ``_trusted``, which skips that pass.
     """
 
-    __slots__ = ("signature", "coeffs")
+    __slots__ = ("signature", "coeffs", "_has_fraction")
 
     def __init__(self, signature: AlgebraSignature, coeffs: Sequence):
         _check_dense_level(signature)
@@ -197,10 +214,24 @@ class Element:
                 f"need {signature.dimension} coefficients for level "
                 f"{signature.level}, got {len(coeffs)}"
             )
-        if not _EXACT_TYPES.issuperset(map(type, coeffs)):
+        types = set(map(type, coeffs))
+        if not _EXACT_TYPES.issuperset(types):
             coeffs = tuple(map(_exact_scalar, coeffs))
+            types = set(map(type, coeffs))
+        self._fill(signature, coeffs, Fraction in types)
+
+    def _fill(self, signature, coeffs: tuple, has_fraction: bool) -> "Element":
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_has_fraction", has_fraction)
+        return self
+
+    @classmethod
+    def _trusted(cls, signature, coeffs: tuple, has_fraction: bool) -> "Element":
+        """An engine output, built without validation: ``coeffs`` is a tuple of
+        ``signature.dimension`` ints and Fractions, and ``has_fraction`` says
+        whether it holds a Fraction."""
+        return object.__new__(cls)._fill(signature, coeffs, has_fraction)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -331,33 +362,56 @@ def _twist_row(table: list[bytes], A: int, n: int) -> bytes:
     return row
 
 
-def _as_ints(coeffs: tuple) -> tuple[Sequence, int | None]:
-    """The operand as ints over the lcm d of its denominators, and d.
+# compress() over a tuple of ready-made index ints scans in C without
+# allocating (over range() it makes an int per entry, about 2.5x slower).
+# It stops at its shorter input, so one tuple, the longest asked for yet,
+# serves every level: 2**14 entries hold about 0.6 MiB.
+_indices: tuple[int, ...] = ()
 
-    d is None when no coefficient is a nonzero Fraction. An all-int operand
-    comes back as is; a zero Fraction, which the one pass over the
-    Fractions marks with 0, becomes int 0.
+
+def _support(v: Sequence) -> list[int]:
+    """The indices of v's nonzero entries, in one scan."""
+    global _indices
+    indices = _indices  # a concurrent refill may shorten the global, never this
+    if len(indices) < len(v):
+        indices = _indices = tuple(range(len(v)))
+    return list(itertools.compress(indices, v))
+
+
+def _operand(x: Element) -> tuple[Sequence, int | None, list[int]]:
+    """x as ints over the lcm d of its denominators, d, and x's support.
+
+    One scan finds the support. An all-int operand comes back as is with
+    d = None. Any other is scaled over its support only, so a zero
+    Fraction becomes int 0, and d is None when no nonzero coefficient is a
+    Fraction.
     """
-    # Coefficients are int or Fraction (``Element`` converts the rest), so
-    # this filter, which runs in C, yields exactly the Fractions.
-    fractions = itertools.filterfalse(int.__instancecheck__, coeffs)
-    denominators = {c.denominator if c else 0 for c in fractions}
-    if not denominators:
-        return coeffs, None
-    denominators.discard(0)
-    d = math.lcm(*denominators)
-    ints = [c.numerator * (d // c.denominator) if c else 0 for c in coeffs]
-    return ints, d if denominators else None
+    coeffs = x.coeffs
+    support = _support(coeffs)
+    if not x._has_fraction:
+        return coeffs, None, support
+    terms = [coeffs[A] for A in support]
+    d = math.lcm(*(c.denominator for c in terms))  # an int's denominator is 1
+    ints = [0] * len(coeffs)
+    for A, c in zip(support, terms):
+        ints[A] = c.numerator * (d // c.denominator)
+    return ints, None if all(map(int.__instancecheck__, terms)) else d, support
 
 
-def _divided_back(out: Sequence, dx: int | None, dy: int | None) -> Sequence:
-    """Outputs divided by dx * dy once: nonzero ones become Fractions, zeros stay int 0."""
+def _divided_back(out: Sequence, dx: int | None, dy: int | None) -> tuple[tuple, bool]:
+    """Outputs divided by dx * dy once, and whether any became a Fraction.
+
+    Nonzero outputs become Fractions and zeros stay int 0, so with dx or
+    dy set the result holds a Fraction exactly when its support is not
+    empty.
+    """
     if dx is None and dy is None:
-        return out
+        return tuple(out), False
     d, out = (dx or 1) * (dy or 1), list(out)
-    for C in itertools.compress(range(len(out)), out):
+    support = _support(out)
+    for C in support:
         out[C] = Fraction(out[C], d)
-    return out
+    return tuple(out), bool(support)
 
 
 def mul_twist(x: Element, y: Element) -> Element:
@@ -369,19 +423,19 @@ def mul_twist(x: Element, y: Element) -> Element:
     popcount (one group for the standard kind, y's two halves for the
     split one). Every row comes from ``_twist_row``, the cached level-9
     table doubled upward. Each operand goes to one common denominator
-    (``_as_ints``), is multiplied as Python ints, and the sums are divided
-    back once. O(4**n) integer operations on dense operands; zero
-    coefficients are skipped.
+    (``_operand``), is multiplied as Python ints over its support, and the
+    sums are divided back once. O(4**n) integer operations on dense
+    operands; zero coefficients are skipped.
     """
     x._require_same_signature(y)
     sig, table = x.signature, _twist_table()
     n, mask = sig.level, sig.mask
-    (xs, dx), (ys, dy) = _as_ints(x.coeffs), _as_ints(y.coeffs)
+    (xs, dx, x_support), (ys, dy, y_support) = _operand(x), _operand(y)
     groups: dict[int, list] = {}
-    for B in itertools.compress(range(len(ys)), ys):
+    for B in y_support:
         groups.setdefault(B & mask, []).append((B, ys[B]))
     out = [0] * sig.dimension
-    for A in itertools.compress(range(len(xs)), xs):
+    for A in x_support:
         xa, row = xs[A], _twist_row(table, A, n)
         for g, terms in groups.items():
             xs_g = -xa if (A & g).bit_count() & 1 else xa
@@ -390,7 +444,7 @@ def mul_twist(x: Element, y: Element) -> Element:
                     out[A ^ B] -= xs_g * yb
                 else:
                     out[A ^ B] += xs_g * yb
-    return Element(sig, _divided_back(out, dx, dy))
+    return Element._trusted(sig, *_divided_back(out, dx, dy))
 
 
 def _conj_tuple(v: tuple) -> tuple:
@@ -465,11 +519,15 @@ def _term_sign(A: int, B: int, gammas: tuple[int, ...]) -> bool:
     return negative
 
 
-def _mul_terms(xs: Sequence, ys: Sequence, gammas: tuple[int, ...]) -> list:
+def _mul_terms(
+    xs: Sequence, x_support: list[int], ys: Sequence, y_support: list[int],
+    gammas: tuple[int, ...],
+) -> list:
     # The bilinear sum over the nonzero term pairs, one walked sign each.
     out = [0] * len(xs)
-    y_terms = [(B, yb) for B, yb in itertools.compress(enumerate(ys), ys)]
-    for A, xa in itertools.compress(enumerate(xs), xs):
+    y_terms = [(B, ys[B]) for B in y_support]
+    for A in x_support:
+        xa = xs[A]
         for B, yb in y_terms:
             if _term_sign(A, B, gammas):
                 out[A ^ B] -= xa * yb
@@ -488,25 +546,36 @@ def mul_doubling(x: Element, y: Element) -> Element:
     (``_mul_rec``). Sparse operands expand over their nonzero term pairs,
     each pair's sign walked down the same formula (``_term_sign``). The
     term order costs about nnz(x) * nnz(y) * n steps and the recursion at
-    least 2**n, so it is taken when nnz(x) * nnz(y) * n <= 2**n. Both run
-    on ints over each operand's common denominator, divided back once
-    (exact: the product is bilinear). The oracle calls nothing from the
-    twist layer and serves as the twist engine's check.
+    least 2**n, so it is taken when nnz(x) * nnz(y) * n <= 2**n, the
+    counts read off the operands' supports. Levels 0-2 are written-out
+    steps of the recursion, with nothing for the term order to save, so
+    they always take it. Both run on ints over each operand's common
+    denominator, divided back once (exact: the product is bilinear). The
+    oracle calls nothing from the twist layer and serves as the twist
+    engine's check.
     """
     x._require_same_signature(y)
     gammas = x.signature.gammas
-    (xs, dx), (ys, dy) = _as_ints(x.coeffs), _as_ints(y.coeffs)
-    size = len(xs)
-    if (size - xs.count(0)) * (size - ys.count(0)) * len(gammas) <= size:
-        out = _mul_terms(xs, ys, gammas)
+    (xs, dx, x_support), (ys, dy, y_support) = _operand(x), _operand(y)
+    n = len(gammas)
+    if n > 2 and len(x_support) * len(y_support) * n <= len(xs):
+        out = _mul_terms(xs, x_support, ys, y_support, gammas)
     else:
         out = _mul_rec(xs, ys, gammas)
-    return Element(x.signature, _divided_back(out, dx, dy))
+    return Element._trusted(x.signature, *_divided_back(out, dx, dy))
 
 
 def conjugate(x: Element) -> Element:
-    """Conjugation: negate every coefficient except the real one."""
-    return Element(x.signature, _conj_tuple(x.coeffs))
+    """Conjugation: negate every coefficient except the real one.
+
+    Only the support is walked. Negation keeps each coefficient's type,
+    so the result holds a Fraction exactly when x does.
+    """
+    out = list(x.coeffs)
+    for A in _support(out):
+        if A:
+            out[A] = -out[A]
+    return Element._trusted(x.signature, tuple(out), x._has_fraction)
 
 
 def conjugate_recursive(x: Element) -> Element:

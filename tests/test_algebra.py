@@ -762,7 +762,20 @@ class TestOracleScalingAndPruning:
         whole = Element(sig, [Fraction(4, 2)] * 8)
         assert mul_doubling(whole, unit(sig)) == Element(sig, [2] * 8)
 
-    @pytest.mark.parametrize("n", range(2, 15))
+    def test_a_single_term_pair_at_level_2_is_one_written_out_step(self, monkeypatch):
+        # levels 0-2 are written-out steps, so even a basis pair recurses there
+        rng = random.Random("single-term:2")
+        sig = STD(2)
+        pairs = [(0, 0), (3, 3)] + [(rng.randrange(4), rng.randrange(4)) for _ in range(4)]
+        calls = _count_mul_rec_calls(monkeypatch)
+        for A, B in pairs:
+            calls.clear()
+            product = mul_doubling(basis_element(sig, A), basis_element(sig, B))
+            assert calls == [2], (A, B)
+            sign, index = basis_mul(A, B, sig)
+            assert product == sign * basis_element(sig, index)
+
+    @pytest.mark.parametrize("n", range(3, 15))
     def test_a_single_term_pair_takes_the_term_path(self, n, monkeypatch):
         rng = random.Random(f"single-term:{n}")
         sig = STD(n)
@@ -881,6 +894,115 @@ class TestTermPath:
             assert [type(c) for c in got.coeffs] == [int] * sig.dimension
             assert [type(c) for c in want.coeffs] == [int] * sig.dimension
         assert type(norm(x)) is int
+
+
+def _assert_as_if_validated(out: Element) -> None:
+    # an engine output skips validation; rebuilding it through validation
+    # must change nothing: values, coefficient types and the Fraction flag
+    rebuilt = Element(out.signature, out.coeffs)
+    assert type(out.coeffs) is tuple
+    assert out == rebuilt
+    assert [type(c) for c in out.coeffs] == [type(c) for c in rebuilt.coeffs]
+    assert out._has_fraction == rebuilt._has_fraction
+
+
+def _with_zero_fractions(x: Element) -> Element:
+    # x with Fraction(0) in its first two zero slots
+    coeffs = list(x.coeffs)
+    for A in [A for A, c in enumerate(coeffs) if not c][:2]:
+        coeffs[A] = Fraction(0)
+    return Element(x.signature, coeffs)
+
+
+def _flavours(sig, rng) -> list[Element]:
+    # int, Fraction, mixed, int with zero Fractions, Fraction(0) only, zero;
+    # dense up to level 9, five terms above it
+    if sig.level > 9:
+        ints, fractions = _sparse_element(sig, rng, 5, False), _sparse_element(sig, rng, 5, True)
+    else:
+        ints, fractions = random_element(sig, rng), _fraction_element(sig, rng)
+    mixed = Element(sig, [fractions.coeffs[0]] + list(ints.coeffs[1:]))
+    only_zero_fractions = Element(sig, [Fraction(0)] * sig.dimension)
+    return [ints, fractions, mixed, _with_zero_fractions(ints), only_zero_fractions, zero(sig)]
+
+
+class TestOnePassValidation:
+    """``Element`` validates in one pass and records whether it holds a
+    Fraction; the engines trust their own outputs and skip that pass."""
+
+    @pytest.mark.parametrize("c", [0.0, float("nan"), True, 1j], ids=repr)
+    @pytest.mark.parametrize("position", [0, 1, 7])
+    def test_non_rationals_are_still_rejected(self, c, position):
+        coeffs = [Fraction(1, 2), 3, 0, 0, 0, 0, 0, 0]
+        coeffs[position] = c
+        with pytest.raises(ValueError, match="exact rationals"):
+            Element(STD(3), coeffs)
+
+    def test_other_rationals_are_still_converted(self):
+        x = Element(STD(1), (np.int64(7), Fraction(4, 2)))
+        assert x.coeffs == (7, 2)
+        assert [type(c) for c in x.coeffs] == [int, Fraction]
+        assert x._has_fraction
+        y = Element(STD(1), (np.int64(7), 0))
+        assert [type(c) for c in y.coeffs] == [int, int]
+        assert not y._has_fraction
+
+    @pytest.mark.parametrize(
+        "coeffs, flag",
+        [
+            ((1, 0, -2, 3), False),
+            ((Fraction(1, 2), Fraction(-3, 4), Fraction(5), Fraction(0)), True),
+            ((Fraction(0), 0, 0, 0), True),
+            ((1, Fraction(1, 3), 0, 2), True),
+            ((0, 0, 0, 0), False),
+        ],
+        ids=["all-int", "fraction", "fraction-0-only", "mixed", "zero"],
+    )
+    def test_the_fraction_flag(self, coeffs, flag):
+        x = Element(STD(2), coeffs)
+        assert x._has_fraction is flag
+        ints, d, support = algebra._operand(x)
+        assert support == [A for A, c in enumerate(coeffs) if c]
+        assert [type(c) for c in ints] == [int] * 4
+        assert [c * (d or 1) for c in coeffs] == list(ints)
+        assert (d is None) == all(type(c) is int for c in coeffs if c)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_engine_outputs_are_as_if_validated(self, kind):
+        rng = random.Random(f"trusted:{kind}")
+        for n in (kind == "split", 3, 6, 11, 14):
+            sig = _signature_of(kind, n)
+            operands = _flavours(sig, rng)
+            for x in operands:
+                _assert_as_if_validated(conjugate(x))
+                assert type(norm(x)) in (int, Fraction)
+                for y in operands:
+                    _assert_as_if_validated(mul_twist(x, y))
+                    _assert_as_if_validated(mul_doubling(x, y))
+
+    def test_norm_still_checks_that_its_product_is_scalar(self, monkeypatch):
+        sig = STD(3)
+        x = basis_element(sig, 5)
+        monkeypatch.setattr(algebra, "mul_doubling", lambda a, b: basis_element(sig, 1))
+        with pytest.raises(InvariantViolation, match="not scalar"):
+            norm(x)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sparse_level_14_pairs_equal_the_reference(self, kind):
+        rng = random.Random(f"sparse-14-flavours:{kind}")
+        sig = _signature_of(kind, 14)
+        for i in range(3):
+            ints = _sparse_element(sig, rng, 2 + i, False), _sparse_element(sig, rng, 4 + i, False)
+            fractions = (_sparse_element(sig, rng, 3 + i, True),
+                         _sparse_element(sig, rng, 5 - i, True))
+            zero_fractions = tuple(map(_with_zero_fractions, ints))
+            for x, y in (ints, fractions, zero_fractions):
+                want = _pruned_mul_rec(x.coeffs, y.coeffs, sig.gammas)
+                square = _pruned_mul_rec(x.coeffs, _pruned_conj_tuple(x.coeffs), sig.gammas)
+                for got in (mul_doubling(x, y), mul_twist(x, y)):
+                    assert got.coeffs == want
+                    _assert_as_if_validated(got)
+                assert norm(x) == square[0]
 
 
 class TestDenseLevelCap:

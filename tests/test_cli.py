@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cdtwist import analysis
-from cdtwist.algebra import AlgebraSignature
+from cdtwist.algebra import AlgebraSignature, basis_mul
 from cdtwist.cli import main
 from cdtwist.twist import split_twist, twist
 
@@ -122,6 +123,26 @@ class TestMul:
         )
         assert code == 0
         assert out == "19/6,-77/20,-941/120,959/180,-361/30,-17/12,1123/180,-13/12\n"
+
+    def test_sparse_level_14_product_with_both_engines(self, capsys):
+        # three-term operands at the top benchmark level, one Fraction each
+        sig = AlgebraSignature.standard(14)
+        x_terms = {0: 2, 777: Fraction(-3, 4), 16383: 5}
+        y_terms = {1: -1, 8192: 3, 12345: Fraction(1, 2)}
+        want = [0] * sig.dimension
+        for A, a in x_terms.items():
+            for B, b in y_terms.items():
+                sign, index = basis_mul(A, B, sig)
+                want[index] += sign * a * b
+
+        def text(terms):
+            return ",".join(str(terms.get(A, 0)) for A in range(sig.dimension))
+
+        code, out, err = run(
+            capsys, "mul", "-n", "14", "--engine", "both", text(x_terms), text(y_terms)
+        )
+        assert code == 0 and err == ""
+        assert out == ",".join(map(str, want)) + "\n"
 
 
 class TestTable:
