@@ -391,7 +391,7 @@ def _operand(x: Element) -> tuple[Sequence, int | None, list[int]]:
     if not x._has_fraction:
         return coeffs, None, support
     terms = [coeffs[A] for A in support]
-    d = math.lcm(*(c.denominator for c in terms))  # an int's denominator is 1
+    d = math.lcm(*{c.denominator for c in terms})  # an int's denominator is 1
     ints = [0] * len(coeffs)
     for A, c in zip(support, terms):
         ints[A] = c.numerator * (d // c.denominator)

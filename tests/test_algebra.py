@@ -807,16 +807,19 @@ def _forbid_mul_rec(monkeypatch) -> None:
     monkeypatch.setattr(algebra, "_mul_rec", forbidden)
 
 
+def _with_zero_fractions(x: Element) -> Element:
+    # x with Fraction(0) in its first two zero slots
+    coeffs = list(x.coeffs)
+    for A in [A for A, c in enumerate(coeffs) if not c][:2]:
+        coeffs[A] = Fraction(0)
+    return Element(x.signature, coeffs)
+
+
 def _element_with_terms(sig, rng, terms: int, fractions: bool) -> Element:
     # exactly `terms` nonzero coefficients; a Fraction operand holds zero
     # Fractions in two of its zero slots as well
-    coeffs = _sparse_element(sig, rng, terms, fractions).coeffs
-    if fractions:
-        coeffs = list(coeffs)
-        zeros = [A for A, c in enumerate(coeffs) if not c]
-        for A in zeros[:2]:
-            coeffs[A] = Fraction(0)
-    return Element(sig, coeffs)
+    x = _sparse_element(sig, rng, terms, fractions)
+    return _with_zero_fractions(x) if fractions else x
 
 
 class TestTermPath:
@@ -904,14 +907,6 @@ def _assert_as_if_validated(out: Element) -> None:
     assert out == rebuilt
     assert [type(c) for c in out.coeffs] == [type(c) for c in rebuilt.coeffs]
     assert out._has_fraction == rebuilt._has_fraction
-
-
-def _with_zero_fractions(x: Element) -> Element:
-    # x with Fraction(0) in its first two zero slots
-    coeffs = list(x.coeffs)
-    for A in [A for A, c in enumerate(coeffs) if not c][:2]:
-        coeffs[A] = Fraction(0)
-    return Element(x.signature, coeffs)
 
 
 def _flavours(sig, rng) -> list[Element]:
