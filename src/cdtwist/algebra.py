@@ -26,16 +26,18 @@ operand, by one shared rule (``_operand``, ``_divided_back``):
   formula from level n to 0. It calls nothing from the twist layer and
   serves as the independent oracle.
 
-A product should cost what its terms cost, so each engine call scans each
-coefficient vector at most once. ``Element`` validates its coefficient
-types in one pass and records whether any is a Fraction; one scan of an
-operand then gives its support (nonzero indices), and only an operand
-with a Fraction is scaled, over its support alone (``_operand``). Engine
-outputs (``mul_twist``, ``mul_doubling``, ``conjugate``) are not validated
-again: they are tuples of the right length whose entries are ints, or
-Fractions made by ``_divided_back`` or by negating one, so the check could
-never fail. They are built by ``Element._trusted``, which takes the
-Fraction flag from what the engine knows.
+Elements come in by two doors. Outside input (``parse_element``, library
+callers) goes through ``Element(...)``, which validates the coefficient
+types in one pass and records whether any is a Fraction. Every value this
+module computes from validated elements or from its own ints (+, -, scalar
+*, the engine products, conjugates, ``zero``, ``basis_element``,
+``random_element``) is built by ``Element._trusted`` with its exact
+Fraction flag: sums, products and negations of ints and Fractions stay
+ints and Fractions, so a second check could never fail. A product should
+cost what its terms cost, so each engine call scans each coefficient
+vector at most once: one scan of an operand gives its support (nonzero
+indices), and only an operand with a Fraction is scaled, over its support
+alone (``_operand``).
 
 Coefficients must be exact rationals (int or Fraction); floats are
 rejected so that engine-equivalence checks stay bit-exact. Dense elements
@@ -198,10 +200,10 @@ class Element:
     defined between elements of the same signature; comparing across
     signatures raises instead of returning False.
 
-    Construction makes one pass over the coefficient types: every entry
-    ends up an int or a Fraction, and ``_has_fraction`` records whether
-    any is a Fraction, so that the engines skip scaling an all-int
-    operand. Engine outputs come from ``_trusted``, which skips that pass.
+    ``Element(...)`` is the door for outside input: one pass makes every
+    entry an int or a Fraction and sets ``_has_fraction`` when any is a
+    Fraction, so that the engines skip scaling an all-int operand. Every
+    value the module computes comes from ``_trusted``, without that pass.
     """
 
     __slots__ = ("signature", "coeffs", "_has_fraction")
@@ -228,7 +230,7 @@ class Element:
 
     @classmethod
     def _trusted(cls, signature, coeffs: tuple, has_fraction: bool) -> "Element":
-        """An engine output, built without validation: ``coeffs`` is a tuple of
+        """A computed value, built without validation: ``coeffs`` is a tuple of
         ``signature.dimension`` ints and Fractions, and ``has_fraction`` says
         whether it holds a Fraction."""
         return object.__new__(cls)._fill(signature, coeffs, has_fraction)
@@ -253,24 +255,23 @@ class Element:
 
     __hash__ = None  # mutable-feeling value type; not meant for dict keys
 
-    def __add__(self, other):
+    def _pointwise(self, other, op):
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_signature(other)
-        return Element(
-            self.signature, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        out = tuple(map(op, self.coeffs, other.coeffs))
+        flag = self._has_fraction or other._has_fraction  # a Fraction in, a Fraction out
+        return Element._trusted(self.signature, out, flag)
+
+    def __add__(self, other):
+        return self._pointwise(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_signature(other)
-        return Element(
-            self.signature, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._pointwise(other, operator.sub)
 
     def __neg__(self):
-        return Element(self.signature, tuple(-a for a in self.coeffs))
+        out = tuple(map(operator.neg, self.coeffs))
+        return Element._trusted(self.signature, out, self._has_fraction)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -278,13 +279,12 @@ class Element:
         if isinstance(other, bool) or not isinstance(other, numbers.Rational):
             return NotImplemented
         other = _exact_scalar(other)
-        return Element(self.signature, tuple(c * other for c in self.coeffs))
+        out = tuple(c * other for c in self.coeffs)
+        flag = self._has_fraction or isinstance(other, Fraction)
+        return Element._trusted(self.signature, out, flag)
 
-    def __rmul__(self, other):
-        if isinstance(other, bool) or not isinstance(other, numbers.Rational):
-            return NotImplemented
-        other = _exact_scalar(other)
-        return Element(self.signature, tuple(other * c for c in self.coeffs))
+    # Only a scalar reaches it (an Element on the left answers first); rationals commute.
+    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Element({self.signature}, [{format_coeffs(self.coeffs)}])"
@@ -292,7 +292,7 @@ class Element:
 
 def zero(signature: AlgebraSignature) -> Element:
     _check_dense_level(signature)
-    return Element(signature, (0,) * signature.dimension)
+    return Element._trusted(signature, (0,) * signature.dimension, False)
 
 
 def unit(signature: AlgebraSignature):
@@ -307,14 +307,14 @@ def basis_element(signature: AlgebraSignature, index: int) -> Element:
         )
     coeffs = [0] * signature.dimension
     coeffs[index] = 1
-    return Element(signature, coeffs)
+    return Element._trusted(signature, tuple(coeffs), False)
 
 
-def random_element(signature, rng) -> Element:
+def random_element(signature, rng: random.Random) -> Element:
     """Element with integer coefficients drawn uniformly from [-9, 9]."""
     _check_dense_level(signature)
-    return Element(
-        signature, tuple(rng.randint(-9, 9) for _ in range(signature.dimension))
+    return Element._trusted(
+        signature, tuple(rng.randint(-9, 9) for _ in range(signature.dimension)), False
     )
 
 
@@ -591,7 +591,7 @@ def conjugate_recursive(x: Element) -> Element:
         h = len(v) // 2
         return rec(v[:h]) + tuple(-c for c in v[h:])
 
-    return Element(x.signature, rec(x.coeffs))
+    return Element._trusted(x.signature, rec(x.coeffs), x._has_fraction)
 
 
 def trace(x: Element):

@@ -900,7 +900,7 @@ class TestTermPath:
 
 
 def _assert_as_if_validated(out: Element) -> None:
-    # an engine output skips validation; rebuilding it through validation
+    # a computed value skips validation; rebuilding it through validation
     # must change nothing: values, coefficient types and the Fraction flag
     rebuilt = Element(out.signature, out.coeffs)
     assert type(out.coeffs) is tuple
@@ -923,7 +923,7 @@ def _flavours(sig, rng) -> list[Element]:
 
 class TestOnePassValidation:
     """``Element`` validates in one pass and records whether it holds a
-    Fraction; the engines trust their own outputs and skip that pass."""
+    Fraction; every value the module computes skips that pass."""
 
     @pytest.mark.parametrize("c", [0.0, float("nan"), True, 1j], ids=repr)
     @pytest.mark.parametrize("position", [0, 1, 7])
@@ -974,6 +974,42 @@ class TestOnePassValidation:
                 for y in operands:
                     _assert_as_if_validated(mul_twist(x, y))
                     _assert_as_if_validated(mul_doubling(x, y))
+
+    @pytest.mark.parametrize("n", [3, 8, 14])
+    def test_every_producer_is_as_if_validated(self, n):
+        sig = STD(n)
+        rng = random.Random(f"one-door:{n}")
+        for made in (zero(sig), unit(sig), basis_element(sig, sig.dimension - 1),
+                     random_element(sig, rng)):
+            _assert_as_if_validated(made)
+        operands = _flavours(sig, rng)
+        for x in operands:
+            _assert_as_if_validated(-x)
+            _assert_as_if_validated(conjugate_recursive(x))
+            for c in (0, -3, Fraction(1, 2), Fraction(4, 2), np.int64(2)):
+                _assert_as_if_validated(x * c)
+                _assert_as_if_validated(c * x)
+            for y in operands:
+                _assert_as_if_validated(x + y)
+                _assert_as_if_validated(x - y)
+
+    def test_scalar_and_pointwise_fraction_flags(self):
+        sig = STD(3)
+        ints = Element(sig, range(8))
+        half = Fraction(1, 2) * ints
+        assert half.coeffs == tuple(Fraction(A, 2) for A in range(8))
+        assert [type(c) for c in half.coeffs] == [Fraction] * 8 and half._has_fraction
+        x = _fraction_element(sig, random.Random("one-door-flags"))
+        cancelled = x - x
+        assert cancelled.coeffs == (0,) * 8 and cancelled._has_fraction
+        assert [type(c) for c in cancelled.coeffs] == [Fraction] * 8
+        for doubled in (np.int64(2) * ints, ints * np.int64(2)):
+            assert doubled.coeffs == tuple(range(0, 16, 2)) and not doubled._has_fraction
+            assert [type(c) for c in doubled.coeffs] == [int] * 8
+        with pytest.raises(TypeError):
+            ints * 0.5
+        with pytest.raises(TypeError):
+            0.5 * ints
 
     def test_norm_still_checks_that_its_product_is_scalar(self, monkeypatch):
         sig = STD(3)
