@@ -473,6 +473,12 @@ class TestBenchmark:
         monkeypatch.setattr(analysis, "_peel", lambda *a, **k: right(*a, **k) ^ 1)
         with pytest.raises(InvariantViolation, match="recursive_memo vs closed form"):
             benchmark_engines([4], queries=64, reps=1)
+        monkeypatch.setattr(analysis, "_peel", right)
+        # above DEFAULT_TABLE_CAP there is no table, and the answers are still checked
+        batch = analysis.twist_batch
+        monkeypatch.setattr(analysis, "twist_batch", lambda A, B, level: batch(A, B, level) ^ 1)
+        with pytest.raises(InvariantViolation, match="closed_batch vs closed form .* level 16"):
+            benchmark_engines([16], queries=64, reps=1)
 
 
 class TestReportSerialization:

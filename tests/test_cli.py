@@ -433,6 +433,13 @@ class TestBench:
         assert code == 1 and out == ""
         assert "62" in err and "Traceback" not in err
 
+    def test_wrong_engine_answer_exits_two(self, capsys, monkeypatch):
+        right = analysis.twist_batch
+        monkeypatch.setattr(analysis, "twist_batch", lambda A, B, level: right(A, B, level) ^ 1)
+        code, out, err = run(capsys, "bench", "--levels", "16", "--queries", "64", "--reps", "1")
+        assert code == 2 and out == ""
+        assert "invariant violation" in err
+
 
 class TestUsageErrors:
     def test_bad_flag_exits_one(self, capsys):
