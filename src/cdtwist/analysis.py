@@ -90,7 +90,13 @@ def _jsonable(value):
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of one property sweep; a failing report carries a witness."""
+    """Outcome of one property sweep, with its verdict.
+
+    ``holds`` is what the sweep observed and ``expected`` what the swept
+    algebra's doubling parameters predict; a failing report carries a
+    witness. ``ok`` is the verdict: the outcome matches the expectation,
+    and an expected failure counts only with a replayable witness.
+    """
 
     name: str
     kind: str
@@ -99,6 +105,11 @@ class PropertyReport:
     checked: int
     witness: tuple | None = None
     seed: int | None = None
+    expected: bool = True
+
+    @property
+    def ok(self) -> bool:
+        return self.holds == self.expected and (self.holds or self.witness is not None)
 
     def to_dict(self) -> dict:
         return {
@@ -109,6 +120,8 @@ class PropertyReport:
             "checked": self.checked,
             "witness": _jsonable(self.witness),
             "seed": self.seed,
+            "expected": self.expected,
+            "ok": self.ok,
         }
 
 
@@ -187,10 +200,10 @@ def _first_failure(cases, fails):
     return None, checked
 
 
-def _report(name, kind, level, found, seed=None) -> PropertyReport:
+def _report(name, kind, level, found, seed=None, expected=True) -> PropertyReport:
     """Report of a sweep from its (witness, checked): it holds iff no witness was found."""
     witness, checked = found
-    return PropertyReport(name, kind, level, witness is None, checked, witness, seed)
+    return PropertyReport(name, kind, level, witness is None, checked, witness, seed, expected)
 
 
 def verify_twist_laws(level: int) -> list[PropertyReport]:
@@ -310,7 +323,7 @@ def _two_term(signature, i, j, sign_j):
 # doubling-derived table t: e_A e_B = (-1)**t[A][B] e_{A^B}. Norm
 # multiplicativity has none: basis norms are +-1 and signs square away, so
 # it is swept on basis elements instead. The decay profile is the same for
-# standard and split parameter vectors; flexibility survives at every level.
+# every parameter vector; flexibility survives at every level.
 _LAWS = {
     "commutative": (
         2,
@@ -425,19 +438,20 @@ def verify_algebra_laws(
         found = _first_failing_tuple(
             signature, arity, violates, parity_violates, exhaustive, rng, n_samples
         )
-        reports.append(_report(law, signature.kind, level, found, seed))
+        expected = expected_law_holds(law, signature.kind, level)
+        reports.append(_report(law, signature.kind, level, found, seed, expected))
     return reports
 
 
 def expected_law_holds(law: str, kind: str, level: int) -> bool:
-    """Whether ``law`` is known to hold at ``level`` (same for either kind)."""
+    """Whether ``law`` is known to hold at ``level`` (the same for every kind)."""
     return level <= _LAWS[law][3]
 
 
 def expected_zero_divisor_free(kind: str, level: int) -> bool:
-    if kind == "split":
-        return False  # the hyperbolic unit always yields (e0+g)(e0-g) = 0
-    return level <= 3
+    # Any gamma_k = +1 gives a hyperbolic unit g (g*g = 1), and then
+    # (e0 + g)(e0 - g) = 0; the standard kind has none through the octonions.
+    return kind == "standard" and level <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +623,7 @@ def verify_zero_divisors(
             not pairs and checked == candidates,
             checked,
             witness,
+            expected=expected_zero_divisor_free(signature.kind, signature.level),
         )
     ]
 

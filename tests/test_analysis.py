@@ -293,6 +293,27 @@ class TestExpectations:
         assert expected_zero_divisor_free("standard", 3)
         assert not expected_zero_divisor_free("standard", 4)
         assert not expected_zero_divisor_free("split", 1)
+        # any +1 parameter gives a hyperbolic unit, whatever its position
+        assert not expected_zero_divisor_free(AlgebraSignature.from_gammas((1, -1)).kind, 2)
+
+    def test_named_kinds_keep_their_answers(self):
+        levels = range(13)
+        assert [expected_zero_divisor_free("standard", n) for n in levels] == [
+            n <= 3 for n in levels
+        ]
+        assert not any(expected_zero_divisor_free("split", n) for n in levels)
+
+    @pytest.mark.parametrize(
+        "gammas",
+        [g for n in range(1, 5) for g in itertools.product((-1, 1), repeat=n)],
+        ids=lambda g: ",".join(f"{x:+d}" for x in g),
+    )
+    def test_every_parameter_vector_meets_its_expectations(self, gammas):
+        # backs the comment above _LAWS: the decay profile does not depend on
+        # the kind, and zero divisors appear from level 1 once any gamma is +1
+        sig = AlgebraSignature.from_gammas(gammas)
+        reports = verify_algebra_laws(sig, samples=20) + verify_zero_divisors(sig)
+        assert [r.to_dict() for r in reports if not r.ok] == []
 
 
 class TestRelations:
@@ -491,3 +512,33 @@ class TestReportSerialization:
         )
         encoded = json.dumps(report.to_dict())
         assert '"1/2"' in encoded
+        assert encoded.endswith('"seed": 7, "expected": true, "ok": false}')
+
+    def test_key_order_is_the_recorded_verify_output(self):
+        import json
+        from pathlib import Path
+
+        recorded = Path(__file__).parent / "data" / "verify_default.jsonl"
+        first = recorded.read_text().splitlines()[0]
+        assert json.dumps(verify_twist_laws(1)[0].to_dict()) == first
+
+
+class TestReportVerdict:
+    # (holds, expected, witness) -> ok: the outcome must match the
+    # expectation, and a failure counts as expected only with a witness
+    @pytest.mark.parametrize(
+        "holds, expected, witness, ok",
+        [
+            (True, True, None, True),
+            (True, True, (1,), True),
+            (True, False, None, False),
+            (True, False, (1,), False),
+            (False, True, None, False),
+            (False, True, (1,), False),
+            (False, False, None, False),
+            (False, False, (1,), True),
+        ],
+    )
+    def test_ok(self, holds, expected, witness, ok):
+        report = PropertyReport("demo", "standard", 3, holds, 1, witness, expected=expected)
+        assert report.ok is ok
