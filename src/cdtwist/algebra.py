@@ -365,13 +365,16 @@ def _twist_row(table: list[bytes], A: int, n: int) -> bytes:
 # compress() over a tuple of ready-made index ints scans in C without
 # allocating (over range() it makes an int per entry, about 2.5x slower).
 # It stops at its shorter input, so one tuple, the longest asked for yet,
-# serves every level: 2**14 entries hold about 0.6 MiB.
+# serves every level up to 14 (2**14 entries hold about 0.6 MiB); longer
+# vectors scan over range(), so one rare high-level call pins no memory.
 _indices: tuple[int, ...] = ()
 
 
 def _support(v: Sequence) -> list[int]:
     """The indices of v's nonzero entries, in one scan."""
     global _indices
+    if len(v) > 1 << 14:
+        return list(itertools.compress(range(len(v)), v))
     indices = _indices  # a concurrent refill may shorten the global, never this
     if len(indices) < len(v):
         indices = _indices = tuple(range(len(v)))

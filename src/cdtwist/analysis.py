@@ -149,23 +149,22 @@ class MultiplicationTable:
         return SignedIndex(int(self.signs[A, B]), A ^ B)
 
 
-def _check_table_level(level: int, cap: int = DEFAULT_TABLE_CAP) -> None:
-    """Refuse a 4**level-entry table above ``cap``, before anything is built."""
-    if level > cap:
-        raise ValueError(f"refusing to build a level-{level} table (cap is {cap})")
+def _check_table_level(level: int) -> None:
+    """Refuse a 4**level-entry table above ``DEFAULT_TABLE_CAP``, before anything
+    is built. The limit is fixed; no caller can raise it."""
+    if level > DEFAULT_TABLE_CAP:
+        raise ValueError(f"refusing to build a level-{level} table (cap is {DEFAULT_TABLE_CAP})")
 
 
-def build_table(
-    signature: AlgebraSignature, cap: int = DEFAULT_TABLE_CAP
-) -> MultiplicationTable:
+def build_table(signature: AlgebraSignature) -> MultiplicationTable:
     """Materialize the full multiplication table of any signature.
 
     Built by block doubling (``twist_matrix``), with a seeded sample checked
     against the batch closed form of the standard kind plus the mask term.
-    ``cap`` bounds the 4**n-byte sign matrix.
+    Levels above ``DEFAULT_TABLE_CAP`` (a 16 MiB sign matrix) are refused.
     """
     n, mask = signature.level, signature.mask
-    _check_table_level(n, cap)
+    _check_table_level(n)
     exponents = twist_matrix(n, mask)
     rng = random.Random(n)
     A, B = np.array([rng.getrandbits(n) for _ in range(1 << 13)]).reshape(2, -1)  # int64
@@ -213,8 +212,8 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     split), the zero row/column, the nonzero diagonal, off-diagonal
     antisymmetry, the two cut-bit facts, the unified upper-triangle
     formula, the split reduction, and invariance under padding the level
-    upward. The recursion side is one ``_peel`` step reading the table's own
-    lower entries; with its seed that step determines the recursion, so no
+    upward. The recursion side is the block-doubling table (``twist_matrix``)
+    of each kind, compared entry by entry with the scalar closed form; no
     memo is read. Levels above ``DEFAULT_TABLE_CAP`` are refused.
     """
     if level < 1:
@@ -225,9 +224,8 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
 
     closed = [bytes([twist(A, B, level) for B in range(dim)]) for A in range(dim)]
     split_closed = [bytes([split_twist(A, B, level) for B in range(dim)]) for A in range(dim)]
-
-    def low(A, B):
-        return closed[A][B]
+    recursive = [row.tobytes() for row in twist_matrix(level)]
+    split_recursive = [row.tobytes() for row in twist_matrix(level, 1 << top)]
 
     def all_pairs():
         return itertools.product(range(dim), repeat=2)
@@ -247,9 +245,9 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     # (property, kind, index pairs, violation of the identity on one pair)
     laws = [
         ("closed_equals_recursive", "standard", all_pairs(),
-         lambda A, B: closed[A][B] != _peel(A, B, low)),
+         lambda A, B: closed[A][B] != recursive[A][B]),
         ("split_closed_equals_recursive", "split", all_pairs(),
-         lambda A, B: split_closed[A][B] != _peel(A, B, low, top, square=0)),
+         lambda A, B: split_closed[A][B] != split_recursive[A][B]),
         ("unit_row_and_column", "standard",
          [(0, B) for B in range(dim)] + [(A, 0) for A in range(dim)],
          lambda A, B: closed[A][B] != 0),

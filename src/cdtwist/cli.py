@@ -92,12 +92,6 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--format", choices=("json", "csv", "markdown"), default="json"
     )
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=analysis.DEFAULT_TABLE_CAP,
-        help="table level cap (memory guard)",
-    )
 
     p = command("verify", "run verification suites", "level", "split", "seed", "out")
     p.add_argument(
@@ -200,7 +194,7 @@ def _table_rows(signs: np.ndarray, cells: list[str]):
 
 def _cmd_table(args) -> int:
     sig = _signature(args)
-    signs = analysis.build_table(sig, cap=args.cap).signs
+    signs = analysis.build_table(sig).signs
     labels = [_fmt_index(i, sig.level, args.binary) for i in range(sig.dimension)]
     # Written row by row: only the sign matrix is held, never the text.
     with _output(args) as out:

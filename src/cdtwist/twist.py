@@ -38,7 +38,7 @@ to a sign happens in the element-arithmetic layer (`cdtwist.algebra`).
 All functions here are pure. ``twist_recursive`` keeps a bounded, lock
 protected memo (``functools.lru_cache``), so concurrent callers always
 observe consistent values. Besides ``split_twist_recursive`` nothing in
-the package reads it: the verification sweeps step over their own tables,
+the package reads it: the twist-law sweep compares against ``twist_matrix``,
 and ``benchmark_engines`` takes only its size, for a cold memo of its own.
 """
 

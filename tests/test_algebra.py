@@ -1081,6 +1081,12 @@ class TestConjugation:
             x = random_element(STD(n), rng)
             assert conjugate(x) == conjugate_recursive(x)
 
+    def test_a_level_above_14_does_not_grow_the_shared_index_tuple(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_indices", ())
+        e = basis_element(STD(15), 1)
+        assert conjugate(e) == -e
+        assert len(algebra._indices) <= 1 << 14
+
     def test_involution_and_antiautomorphism(self):
         rng = random.Random(19)
         for n in range(0, 5):

@@ -30,7 +30,7 @@ from cdtwist.analysis import (
     verify_twist_laws,
     verify_zero_divisors,
 )
-from cdtwist.twist import twist, twist_recursive
+from cdtwist.twist import twist_recursive
 
 STD = AlgebraSignature.standard
 SPL = AlgebraSignature.split
@@ -81,7 +81,7 @@ class TestBuildTable:
     def test_cap_refusal(self):
         with pytest.raises(ValueError, match="cap"):
             build_table(STD(13))
-        build_table(STD(5), cap=5)  # at the cap is fine
+        build_table(STD(12))  # at the cap is fine
 
     @pytest.mark.parametrize("sig", [STD(4), SPL(4)])
     def test_wrong_closed_form_is_detected(self, sig, monkeypatch):
@@ -125,27 +125,23 @@ class TestTwistLaws:
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_wrong_recursion_is_detected(self, monkeypatch):
-        right = analysis._peel
+        right = analysis.twist_matrix
 
-        def wrong(*args, **kwargs):
-            return right(*args, **kwargs) ^ 1
+        def wrong(level, mask=0):
+            table = right(level, mask)
+            if not mask:  # the standard table only
+                table[5, 3] ^= 1
+            return table
 
-        monkeypatch.setattr(analysis, "_peel", wrong)
+        monkeypatch.setattr(analysis, "twist_matrix", wrong)
         by_name = {r.name: r for r in verify_twist_laws(3)}
-        recursive = {"closed_equals_recursive", "split_closed_equals_recursive"}
-        assert {name for name, r in by_name.items() if not r.holds} == recursive
-
-        # the witness replays: the closed form breaks the wrong step, not the right one
-        def table(A, B):
-            return twist(A, B, 3)
-
-        A, B = by_name["closed_equals_recursive"].witness
-        assert twist(A, B, 3) != wrong(A, B, table)
-        assert twist(A, B, 3) == right(A, B, table)
+        assert {name for name, r in by_name.items() if not r.holds} == {
+            "closed_equals_recursive"
+        }
+        assert by_name["closed_equals_recursive"].witness == (5, 3)
 
     def test_one_wrong_table_entry_is_its_own_witness(self, monkeypatch):
-        # No lower pair's step reads (6, 3) at level 3, so the sweep first
-        # fails at the entry itself.
+        # The sweep compares entry by entry, so it first fails at the entry itself.
         right = analysis.twist
 
         def flipped(A, B, level):
@@ -163,11 +159,13 @@ def test_levels_above_the_table_cap_are_refused_before_any_work(monkeypatch):
     def boom(*args):
         raise AssertionError("no table work above the cap")
 
-    for attr in ("twist", "split_twist", "mul_doubling"):
+    for attr in ("twist", "split_twist", "twist_matrix", "mul_doubling"):
         monkeypatch.setattr(analysis, attr, boom)
     monkeypatch.setattr(analysis, "_oracle_tables", {})
     with pytest.raises(ValueError, match="cap is 12"):
         verify_twist_laws(13)
+    with pytest.raises(ValueError, match="cap is 12"):
+        build_table(STD(13))
     with pytest.raises(ValueError, match="cap is 12"):
         find_zero_divisors(STD(13))
     assert analysis._oracle_tables == {}

@@ -198,11 +198,6 @@ class TestTable:
         assert code == 1
         assert "cap" in err
 
-    def test_cap_override(self, capsys):
-        code, out, _ = run(capsys, "table", "-n", "6", "--cap", "6", "--format", "csv")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 65
-
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.json"
         code, out, _ = run(capsys, "table", "-n", "1", "--out", str(path))
@@ -388,9 +383,17 @@ def test_dense_level_cap_exits_one(capsys, argv):
     assert "capped at level 20" in err
 
 
-@pytest.mark.parametrize("suite", ["twist-laws", "zero-divisors"])
-def test_table_level_cap_exits_one(capsys, suite):
-    code, out, err = run(capsys, "verify", "--suite", suite, "-n", "13")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "twist-laws", "-n", "13"),
+        ("verify", "--suite", "zero-divisors", "-n", "13"),
+        ("table", "-n", "24"),
+    ],
+    ids=["twist-laws", "zero-divisors", "table"],
+)
+def test_table_level_cap_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "cap is 12" in err and "Traceback" not in err
@@ -477,7 +480,7 @@ _BASE_ARGV = {
     [
         ("sign", "--seed=1"), ("sign", "--cap=3"), ("sign", "--gamma=-1"),
         ("mul", "--seed=1"), ("mul", "--cap=3"), ("mul", "--binary"),
-        ("table", "--seed=1"), ("table", "--gamma=-1"),
+        ("table", "--seed=1"), ("table", "--gamma=-1"), ("table", "--cap=3"),
         ("verify", "--gamma=-1"), ("verify", "--cap=3"), ("verify", "--binary"),
         ("bench", "-n3"), ("bench", "--split"), ("bench", "--gamma=-1"),
         ("bench", "--cap=3"), ("bench", "--binary"),
