@@ -48,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    # an argparse type: a count below 1 is refused before any suite runs
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 # Flags shared between commands: name -> (option strings, add_argument keywords).
 _SHARED_FLAGS = {
     "level": (("-n", "--level"), dict(type=int, help="algebra level (dimension 2**n)")),
@@ -101,7 +112,9 @@ def _build_parser() -> _Parser:
         help="suite to run (repeatable; default: all)",
     )
     p.add_argument("--n-max", type=int, help="sweep levels up to this cap")
-    p.add_argument("--samples", type=int, default=200, help="random tuples per law")
+    p.add_argument(
+        "--samples", type=_positive_int, default=200, help="random tuples per law"
+    )
     p.add_argument(
         "--budget", type=int, default=1 << 17, help="zero-divisor candidate budget"
     )

@@ -615,6 +615,109 @@ class TestMulTwistGeneralGammas:
         assert x * y == want
 
 
+def _spy_on_int64_rows(monkeypatch) -> list:
+    # the level of every mul_twist call that takes the int64 rows
+    calls = []
+    rows = algebra._mul_int64
+
+    def spy(xs, x_support, ys, table, n, mask):
+        calls.append(n)
+        return rows(xs, x_support, ys, table, n, mask)
+
+    monkeypatch.setattr(algebra, "_mul_int64", spy)
+    return calls
+
+
+class TestInt64Rows:
+    """mul_twist's int64 numpy rows: the same sums as the oracle, taken only
+    where the term counts pay for them and the l1 bound makes them exact."""
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense_pairs_equal_the_oracle(self, kind, n, monkeypatch):
+        calls = _spy_on_int64_rows(monkeypatch)
+        rng = random.Random(f"int64:{kind}:{n}")
+        sig = _signature_of(kind, n)
+        for draw in (random_element, _fraction_element):
+            x, y = draw(sig, rng), draw(sig, rng)
+            got = mul_twist(x, y)
+            assert got == mul_doubling(x, y)
+            _assert_as_if_validated(got)
+        assert calls == [n, n]
+
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("kind", ["standard", "split"])
+    def test_high_levels_equal_the_python_loop(self, kind, n, monkeypatch):
+        # The oracle takes seconds per dense call here, so the reference is
+        # the Python-int path, forced by a zero bound. x has 128 terms over
+        # the whole index range, y has every term: the counts pick the rows.
+        rng = random.Random(f"int64-high:{kind}:{n}")
+        sig = _signature_of(kind, n)
+        x, y = _sparse_element(sig, rng, 128, False), _nonzero_element(sig, rng)
+        calls = _spy_on_int64_rows(monkeypatch)
+        got = mul_twist(x, y)
+        monkeypatch.setattr(algebra, "_INT64_BOUND", 0)
+        want = mul_twist(x, y)
+        assert calls == [n]
+        assert got == want
+        _assert_as_if_validated(got)
+
+    def test_the_l1_bound_is_strict(self, monkeypatch):
+        # 2**63 - 1 = (7**2 * 73 * 127 * 337) * (92737 * 649657); the largest
+        # output, at index 63, comes within 2**43 of the bound
+        sig = STD(6)
+        calls = _spy_on_int64_rows(monkeypatch)
+        for a, b, rows in ((153092023, 60247241209, [6]), (1 << 31, 1 << 32, [])):
+            assert a * b == (1 << 63) - bool(rows)
+            x = Element(sig, [(-1) ** A for A in range(63)] + [a - 63])
+            y = Element(sig, [63 - b] + [(-1) ** (B // 3) for B in range(1, 64)])
+            calls.clear()
+            got = mul_twist(x, y)
+            assert got == mul_doubling(x, y)
+            assert calls == rows
+            assert max(map(abs, got.coeffs)) > (1 << 63) - (1 << 43)
+
+    @pytest.mark.parametrize("kind", ["standard", "split"])
+    def test_sums_past_int64_take_the_python_loop(self, kind, monkeypatch):
+        rng = random.Random(f"past-int64:{kind}")
+        sig = _signature_of(kind, 8)
+        x, y = (Element(sig, [rng.choice((-1, 1)) * ((1 << 31) - rng.randint(0, 9))
+                              for _ in range(sig.dimension)]) for _ in range(2))
+        calls = _spy_on_int64_rows(monkeypatch)
+        got = mul_twist(x, y)
+        assert got == mul_doubling(x, y)
+        assert calls == []
+        assert max(map(abs, got.coeffs)) >= 1 << 63
+
+    def test_the_term_counts_choose_the_path(self, monkeypatch):
+        calls = _spy_on_int64_rows(monkeypatch)
+        rng = random.Random("int64-counts")
+        sig = STD(10)
+        x, y = random_element(sig, rng), random_element(sig, rng)
+        assert mul_twist(x, y) == mul_doubling(x, y)
+        assert calls == [10]
+        # 16 * nnz(x) * nnz(y) >= (nnz(x) + 2) * (2**n + 640): at level 8
+        # with 256 terms in x, y needs 57 terms
+        sig = SPL(8)
+        x = _nonzero_element(sig, rng)
+        for terms, rows in ((56, []), (57, [8])):
+            y = _sparse_element(sig, rng, terms, False)
+            calls.clear()
+            assert mul_twist(x, y) == mul_doubling(x, y)
+            assert calls == rows
+        # sparse level-14 pairs of 2-8 terms and dense pairs below level 6 never do
+        calls.clear()
+        for kind in KINDS:
+            sig = _signature_of(kind, 14)
+            for terms in range(2, 9):
+                x, y = (_sparse_element(sig, rng, terms, False) for _ in range(2))
+                mul_twist(x, y)
+            for n in range(kind == "split", 6):
+                sig = _signature_of(kind, n)
+                mul_twist(_nonzero_element(sig, rng), _nonzero_element(sig, rng))
+        assert calls == []
+
+
 def _raise_if_called(*args, **kwargs):
     raise AssertionError("the doubling oracle called the twist layer")
 

@@ -331,6 +331,17 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "samples" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3", "many"])
+    def test_bad_samples_are_refused_before_any_suite_runs(self, capsys, monkeypatch, samples):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a suite ran before --samples was checked")
+
+        monkeypatch.setattr(analysis, "verify_twist_laws", forbidden)
+        for argv in ((), ("--suite", "twist-laws")):
+            code, out, err = run(capsys, "verify", *argv, "--samples", samples)
+            assert code == 1 and out == ""
+            assert "samples" in err
+
     def test_samples_below_the_floor_are_kept(self, capsys):
         # above level 5 the sample count shrinks to at least 8, but never grows
         code, out, _ = run(
