@@ -12,16 +12,17 @@ Two multiplication engines are provided, for every parameter vector, and
 must agree. Both multiply ints over one common denominator per operand,
 by one shared rule (``_operand``, ``_divided_back``):
 
-* ``mul_twist`` expands the product over basis pairs with one sign source:
-  rows of the standard twist, read from a fixed level-9 table and doubled
-  upward above it (``_twist_row``). Every other kind's signs follow by the
-  mask rule, sigma_gamma(A, B) = sigma(A, B) + popcount(A & B & mask)
-  (mod 2), where ``mask`` has bit k set where gammas[k] = +1. The sums
-  run on one of two paths, chosen from the operands' term counts: Python
-  ints one term pair at a time, or, for pairs with many terms in y, one
-  int64 numpy row per term of x (a signed, XOR-permuted copy of y). The
-  rows are taken only when ||x||_1 * ||y||_1 < 2**63 on the operands'
-  ints, which bounds every sum, so both paths are exact.
+* ``mul_twist`` expands the product over basis pairs with one sign source
+  for every kind: ``_twist_row`` gives the row sigma_gamma(A, .) of the
+  kind's ``mask`` (bit k set where gammas[k] = +1), read from a fixed
+  level-9 table of the standard twist and doubled by ``twist_matrix``'s
+  block rule from the lowest level where A & mask has a bit. The sums
+  read that row alone and run on one of two paths, chosen from the
+  operands' term counts: Python ints one term pair at a time, or, for
+  pairs with many terms in y, one int64 numpy row per term of x (a
+  signed, XOR-permuted copy of y). The rows are taken only when
+  ||x||_1 * ||y||_1 < 2**63 on the operands' ints, which bounds every
+  sum, so both paths are exact.
 * ``mul_doubling`` evaluates the doubling formula in one of two orders.
   Dense operands split into (low, high) halves and recurse with the
   level's doubling parameter, ending at a written-out level-2 step and
@@ -350,20 +351,36 @@ def _twist_table() -> list[bytes]:
     return table
 
 
-def _twist_row(table: list[bytes], A: int, n: int) -> bytes:
-    """Standard exponents sigma(A, B) for B < 2**n (the whole level-9 row up to level 9).
+def _twist_row(table: list[bytes], A: int, n: int, mask: int) -> bytes:
+    """Exponents sigma_gamma(A, B) of the kind with this mask, for B < 2**n.
 
-    Above level 9 the row doubles one level k at a time, as ``twist_matrix``
-    does: with A0 = A mod 2**k and d = [B != 0], row(A0) is [row(A0), col(A0)]
-    and row(A0 + 2**k) is [row(A0) ^ d, col(A0) ^ d ^ 1]. Distinct imaginary
-    units anticommute: col(A0) = row(A0) ^ d ^ [B = A0] for A0 != 0, col(0) = 0.
+    Below the lowest set bit of m = A & mask the row equals the standard
+    one, so it starts from the table row at level k0 = min(n, 9, that bit),
+    or min(n, 9) when m = 0. Up to level 9 a row with m = 0 is the level-9
+    table row itself, whose first 2**n entries are this level's. It then
+    doubles one level k at a time, by ``twist_matrix``'s blocks: with
+    A0 = A mod 2**k and d = [B != 0], row(A0) is [row(A0), col(A0)] and
+    row(A0 + 2**k) is [row(A0) ^ d, col(A0) ^ d ^ [gamma_k = -1]]. Distinct
+    nonzero units anticommute in every kind: col(A0) = row(A0) ^ d off the
+    diagonal, col(0) = 0, and on the diagonal col(A0) keeps row(A0)'s own
+    entry sigma_gamma(A0, A0) = 1 + popcount(A0 & mask), which is not
+    always 1.
     """
-    row = table[A % (1 << _TABLE_LEVEL)]
-    for k in range(_TABLE_LEVEL, n):
+    m = A & mask
+    k0 = min(n, _TABLE_LEVEL, (m & -m).bit_length() - 1 if m else n)
+    row = table[A % (1 << k0)]
+    if k0 < n:
+        row = row[: 1 << k0]
+    for k in range(k0, n):
         A0 = A % (1 << k)
         flipped = b"\0" + row[1:].translate(_FLIP)  # row(A0) ^ d; sigma(A0, 0) = 0
-        col = flipped[:A0] + b"\1" + flipped[A0 + 1 :] if A0 else row
-        row = flipped + b"\1" + col[1:] if A >> k & 1 else row + col
+        col = flipped[:A0] + row[A0 : A0 + 1] + flipped[A0 + 1 :] if A0 else row
+        if not A >> k & 1:
+            row = row + col
+        elif m >> k & 1:  # gamma_k = +1
+            row = flipped + b"\0" + col[1:].translate(_FLIP)
+        else:
+            row = flipped + b"\1" + col[1:]
     return row
 
 
@@ -432,9 +449,9 @@ def _mul_int64(
     """The sums of ``mul_twist`` as int64 numpy rows, one row per A in x's support.
 
     Row A adds x_A times a signed, XOR-permuted copy of y: at C = A ^ B it
-    adds x_A * y_B, negated where the standard row ``_twist_row(table, A, n)``
-    holds 1 at B, and negated once more where popcount(A & B & mask) is odd.
-    Returns Python ints. Exact only under the bound ``mul_twist`` checks.
+    adds x_A * y_B, negated where the kind's row
+    ``_twist_row(table, A, n, mask)`` holds 1 at B. Returns Python ints.
+    Exact only under the bound ``mul_twist`` checks.
     """
     import numpy as np  # already loaded by the twist layer; kept out of the module imports
 
@@ -443,28 +460,23 @@ def _mul_int64(
     neg, idx = -y, np.arange(size)
     acc = np.zeros(size, dtype=np.int64)
     for A in x_support:
-        # below level 9 the row is the level-9 row, whose first 2**n entries are this level's
-        negative = np.frombuffer(_twist_row(table, A, n), np.uint8, size)
-        if A & mask:
-            negative = negative ^ (np.bitwise_count(idx & (A & mask)) & 1)
-        acc += xs[A] * np.where(negative.view(bool), neg, y)[idx ^ A]
+        negative = np.frombuffer(_twist_row(table, A, n, mask), bool, size)
+        acc += xs[A] * np.where(negative, neg, y)[idx ^ A]
     return acc.tolist()
 
 
 def mul_twist(x: Element, y: Element) -> Element:
     """Bilinear product over basis pairs with closed-form signs.
 
-    Every sign comes from the standard twist, whose rows come from
-    ``_twist_row`` (the cached level-9 table, doubled upward above it); the
-    twist of a parameter vector adds popcount(A & B & mask) to it. Each
+    Every sign of row A comes from ``_twist_row(table, A, n, mask)``, the
+    kind's twist sigma_gamma(A, .) built from the cached level-9 table of
+    the standard twist; neither sum path applies the mask itself. Each
     operand goes to one common denominator (``_operand``), the sums over
     the nonzero term pairs are taken on ints, and they are divided back
     once. The sums take one of two paths, both exact:
 
     * Python ints, one term pair at a time, about nnz(x) * nnz(y)
-      interpreter steps. y's terms are grouped by g = B & mask, and row A
-      takes a group negated when A & g has odd popcount (one group for the
-      standard kind, y's two halves for the split one).
+      interpreter steps.
     * int64 numpy rows (``_mul_int64``), one signed, XOR-permuted copy of
       y per term of x. Measured on pairs at levels 6-12 (2-core x86 VM,
       numpy 2.4), a row costs about 2**n + 640 vector lanes, loading y and reading the
@@ -492,19 +504,15 @@ def mul_twist(x: Element, y: Element) -> Element:
     ):
         out = _mul_int64(xs, x_support, ys, table, n, mask)
     else:
-        groups: dict[int, list] = {}
-        for B in y_support:
-            groups.setdefault(B & mask, []).append((B, ys[B]))
+        y_terms = [(B, ys[B]) for B in y_support]
         out = [0] * sig.dimension
         for A in x_support:
-            xa, row = xs[A], _twist_row(table, A, n)
-            for g, terms in groups.items():
-                xs_g = -xa if (A & g).bit_count() & 1 else xa
-                for B, yb in terms:
-                    if row[B]:
-                        out[A ^ B] -= xs_g * yb
-                    else:
-                        out[A ^ B] += xs_g * yb
+            xa, row = xs[A], _twist_row(table, A, n, mask)
+            for B, yb in y_terms:
+                if row[B]:
+                    out[A ^ B] -= xa * yb
+                else:
+                    out[A ^ B] += xa * yb
     return Element._trusted(sig, *_divided_back(out, dx, dy))
 
 

@@ -48,15 +48,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    # an argparse type: a count below 1 is refused before any suite runs
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    # an argparse type: a count below ``low`` is refused before any suite runs
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 # Flags shared between commands: name -> (option strings, add_argument keywords).
@@ -113,10 +116,10 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--n-max", type=int, help="sweep levels up to this cap")
     p.add_argument(
-        "--samples", type=_positive_int, default=200, help="random tuples per law"
+        "--samples", type=_int_at_least(1), default=200, help="random tuples per law"
     )
     p.add_argument(
-        "--budget", type=int, default=1 << 17, help="zero-divisor candidate budget"
+        "--budget", type=_int_at_least(0), default=1 << 17, help="zero-divisor candidate budget"
     )
 
     p = command("bench", "time the sign engines", "seed", "out")

@@ -353,8 +353,8 @@ class TestMulTwistKernel:
         assert list(algebra._twist_tables) == [9]
         assert algebra._twist_tables[9] is table
 
-    def test_mask_groups_follow_the_popcount_rule(self):
-        # all-hyperbolic at level 3: eight one-term groups, every sign from the mask
+    def test_all_hyperbolic_rows_follow_the_mask_rule(self):
+        # all-hyperbolic at level 3: every row but e_0's doubles from the lowest bit of A
         sig = AlgebraSignature.from_gammas((1, 1, 1))
         es = [basis_element(sig, A) for A in range(8)]
         for x in es:
@@ -372,29 +372,52 @@ class TestMulTwistKernel:
                 _assert_kernel_matches_doubling(unit(sig), x)
 
 
+# The kinds whose rows are checked: every mask bit, none, the top one, and an irregular set.
+_ROW_KINDS = ("standard", "split", "all-hyperbolic", "irregular")
+
+
+def _row_cases(levels):
+    # the standard kind's id is the level alone
+    return [
+        pytest.param(kind, n, id=str(n) if kind == "standard" else f"{kind}-{n}")
+        for n in levels
+        for kind in _ROW_KINDS
+    ]
+
+
 class TestTwistRow:
-    """Rows of the level-9 table doubled upward against the batch closed form."""
+    """Rows of every kind, from the level-9 table, against the batch closed form."""
 
     @staticmethod
-    def _assert_row(table, A: int, n: int) -> None:
+    def _assert_row(table, A: int, n: int, mask: int) -> None:
         B = np.arange(1 << n)
-        want = twist_module.twist_batch(np.full_like(B, A), B, n).tobytes()
-        assert algebra._twist_row(table, A, n)[: 1 << n] == want, (A, n)
+        want = twist_module.twist_batch(np.full_like(B, A), B, n, mask).tobytes()
+        assert algebra._twist_row(table, A, n, mask)[: 1 << n] == want, (A, n, mask)
 
-    @pytest.mark.parametrize("n", [3, 9, 10])
-    def test_every_row(self, n):
-        table = algebra._twist_table()
+    @pytest.mark.parametrize("kind, n", _row_cases([3, 9, 10]))
+    def test_every_row(self, kind, n):
+        table, mask = algebra._twist_table(), _signature_of(kind, n).mask
         for A in range(1 << n):
-            self._assert_row(table, A, n)
+            self._assert_row(table, A, n, mask)
 
-    @pytest.mark.parametrize("n", range(11, 15))
-    def test_seeded_rows(self, n):
+    @pytest.mark.parametrize("kind, n", _row_cases(range(11, 15)))
+    def test_seeded_rows(self, kind, n):
         rng = random.Random(f"rows:{n}")
-        table = algebra._twist_table()
+        table, mask = algebra._twist_table(), _signature_of(kind, n).mask
         edges = (0, 1, 1 << 9, 1 << (n - 1), (1 << n) - 1)
         for A in edges + tuple(rng.getrandbits(n) for _ in range(12)):
-            assert len(algebra._twist_row(table, A, n)) == 1 << n
-            self._assert_row(table, A, n)
+            assert len(algebra._twist_row(table, A, n, mask)) == 1 << n
+            self._assert_row(table, A, n, mask)
+
+    def test_rows_clear_of_the_mask_are_the_table_rows(self):
+        # up to level 9 a row with A & mask = 0 is the table's own row, not a copy
+        table = algebra._twist_table()
+        for n in range(10):
+            for kind in _ROW_KINDS if n else ("standard",):
+                mask = _signature_of(kind, n).mask
+                for A in range(1 << n):
+                    if not A & mask:
+                        assert algebra._twist_row(table, A, n, mask) is table[A], (kind, A, n)
 
 
 class TestMulDoubling:

@@ -85,9 +85,11 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("sig", [STD(4), SPL(4)])
     def test_wrong_closed_form_is_detected(self, sig, monkeypatch):
-        # every kind is checked against the standard batch form plus the mask term
+        # every kind is checked against the batch form of its own mask
         right = analysis.twist_batch
-        monkeypatch.setattr(analysis, "twist_batch", lambda A, B, level: right(A, B, level) ^ 1)
+        monkeypatch.setattr(
+            analysis, "twist_batch", lambda A, B, level, mask: right(A, B, level, mask) ^ 1
+        )
         with pytest.raises(InvariantViolation, match="block-doubling"):
             build_table(sig)
 

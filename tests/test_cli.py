@@ -206,7 +206,9 @@ class TestTable:
 
     def test_wrong_closed_form_exits_two(self, capsys, monkeypatch):
         right = analysis.twist_batch
-        monkeypatch.setattr(analysis, "twist_batch", lambda A, B, level: right(A, B, level) ^ 1)
+        monkeypatch.setattr(
+            analysis, "twist_batch", lambda A, B, level, mask: right(A, B, level, mask) ^ 1
+        )
         code, out, err = run(capsys, "table", "-n", "3")
         assert code == 2 and out == ""
         assert "invariant violation" in err
@@ -349,6 +351,17 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out.splitlines()[0])["checked"] == 4096 + 1
+
+    def test_negative_budget_is_refused_at_parse_time(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a suite ran before --budget was checked")
+
+        monkeypatch.setattr(analysis, "verify_zero_divisors", forbidden)
+        code, out, err = run(
+            capsys, "verify", "--suite", "zero-divisors", "-n", "3", "--budget", "-5"
+        )
+        assert code == 1 and out == ""
+        assert "budget" in err
 
     def test_truncated_zero_divisor_search_fails(self, capsys):
         code, out, _ = run(
