@@ -42,6 +42,8 @@ from .algebra import (
 # ``analysis.split_twist_batch`` by name, so the name stays importable.
 from .twist import (  # noqa: F401
     MAX_LEVEL,
+    MAX_TABLE_LEVEL,
+    _check_table_level,
     _peel,
     degree,
     ell,
@@ -73,7 +75,7 @@ __all__ = [
     "verify_zero_divisors",
 ]
 
-DEFAULT_TABLE_CAP = 12
+DEFAULT_TABLE_CAP = MAX_TABLE_LEVEL
 
 # Exhaustive basis triples stay desk-scale through level 5; beyond that
 # only seeded random sampling.
@@ -147,13 +149,6 @@ class MultiplicationTable:
 
     def entry(self, A: int, B: int) -> SignedIndex:
         return SignedIndex(int(self.signs[A, B]), A ^ B)
-
-
-def _check_table_level(level: int) -> None:
-    """Refuse a 4**level-entry table above ``DEFAULT_TABLE_CAP``, before anything
-    is built. The limit is fixed; no caller can raise it."""
-    if level > DEFAULT_TABLE_CAP:
-        raise ValueError(f"refusing to build a level-{level} table (cap is {DEFAULT_TABLE_CAP})")
 
 
 def build_table(signature: AlgebraSignature) -> MultiplicationTable:

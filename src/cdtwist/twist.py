@@ -60,11 +60,15 @@ __all__ = [
     "split_twist_batch",
     "twist_matrix",
     "MAX_LEVEL",
+    "MAX_TABLE_LEVEL",
 ]
 
 # Levels are capped so indices fit comfortably in int64 bit arithmetic,
 # both in Python scalars and in the numpy batch path.
 MAX_LEVEL = 62
+
+# Full tables (``twist_matrix``) stop here: 4**12 bytes is a 16 MiB matrix.
+MAX_TABLE_LEVEL = 12
 
 
 def degree(index: int) -> int:
@@ -254,6 +258,13 @@ def split_twist_batch(A, B, level: int) -> np.ndarray:
     return twist_batch(A, B, level, _split_mask(level))
 
 
+def _check_table_level(level: int) -> None:
+    """Refuse a 4**level-entry table above ``MAX_TABLE_LEVEL``, before anything
+    is built. The limit is fixed; no caller can raise it."""
+    if level > MAX_TABLE_LEVEL:
+        raise ValueError(f"refusing to build a level-{level} table (cap is {MAX_TABLE_LEVEL})")
+
+
 def twist_matrix(level: int, mask: int = 0) -> np.ndarray:
     """Full uint8 exponent matrix ``M[A, B]``, by the doubling recursion in block form.
 
@@ -273,19 +284,41 @@ def twist_matrix(level: int, mask: int = 0) -> np.ndarray:
     the bottom right, A & B has no bit k, and T or T^t already differs from
     the standard block by popcount(A0 & B0 & mask). In the bottom right,
     A & B has bit k, and [gamma_k = -1] = 1 + [gamma_k = +1] adds exactly
-    bit k of the mask to that popcount. Cost is O(4**n) byte operations;
-    callers bound the level.
+    bit k of the mask to that popcount.
+
+    The transpose R_k = T_k^t is carried through the same recursion rather
+    than gathered column by column:
+
+        R_0 = [[0]],  R_{k+1} = [[R, R + d^t], [T, T + d^t + [gamma_k = -1]]]  (mod 2),
+
+    where d^t adds d[A] down every column. Proof: transpose the blocks of
+    T_{k+1}; the off-diagonal blocks swap, each block is transposed, and the
+    row vector d becomes the column vector d^t. So every block of both
+    matrices is a row-block copy or a broadcast XOR. R is needed only up
+    to level - 1, so the scratch is a quarter of the output. Cost is
+    O(4**n) byte operations; levels above ``MAX_TABLE_LEVEL`` are refused
+    before anything is allocated.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
+    _check_table_level(level)
     _check_mask(level, mask)
     out = np.zeros((1 << level, 1 << level), dtype=np.uint8)
+    half = 1 << max(level - 1, 0)
+    R = np.zeros((half, half), dtype=np.uint8)
+    d = np.ones(half, dtype=np.uint8)
+    d[0] = 0
     for k in range(level):
         h = 1 << k
-        T = out[:h, :h]
-        d = np.ones(h, dtype=np.uint8)
-        d[0] = 0
-        out[:h, h : 2 * h] = T.T
-        out[h : 2 * h, :h] = T ^ d
-        out[h : 2 * h, h : 2 * h] = T.T ^ d ^ (1 - (mask >> k & 1))
+        T, Rk = out[:h, :h], R[:h, :h]
+        dk = d[:h]
+        # the bottom-right blocks' term, d + [gamma_k = -1]
+        dc = dk ^ np.uint8(1 - (mask >> k & 1))
+        out[:h, h : 2 * h] = Rk
+        np.bitwise_xor(T, dk, out=out[h : 2 * h, :h])
+        np.bitwise_xor(Rk, dc, out=out[h : 2 * h, h : 2 * h])
+        if 2 * h <= half:
+            np.bitwise_xor(Rk, dk[:, None], out=R[:h, h : 2 * h])
+            R[h : 2 * h, :h] = T
+            np.bitwise_xor(T, dc[:, None], out=R[h : 2 * h, h : 2 * h])
     return out

@@ -1,14 +1,18 @@
 """Tests for the sign (twist) functions, closed form vs recursion."""
 
+import importlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdtwist import analysis
 from cdtwist.twist import (
+    MAX_TABLE_LEVEL,
     degree,
     ell,
     phi,
@@ -22,6 +26,9 @@ from cdtwist.twist import (
 )
 from cdtwist.algebra import AlgebraSignature
 from cdtwist.analysis import _oracle_parity_table
+
+# the package re-exports the function ``twist``, which shadows the module name
+twist_module = importlib.import_module("cdtwist.twist")
 
 
 class TestDegree:
@@ -192,6 +199,34 @@ def _split_mask(level, split):
     return 1 << (level - 1) if split else 0
 
 
+def _transposing_twist_matrix(level, mask=0):
+    """The block builder that gathers each T^t block from ``T.T``: the reference
+    for ``twist_matrix``, which carries the transpose instead."""
+    out = np.zeros((1 << level, 1 << level), dtype=np.uint8)
+    for k in range(level):
+        h = 1 << k
+        T = out[:h, :h]
+        d = np.ones(h, dtype=np.uint8)
+        d[0] = 0
+        out[:h, h : 2 * h] = T.T
+        out[h : 2 * h, :h] = T ^ d
+        out[h : 2 * h, h : 2 * h] = T.T ^ d ^ (1 - (mask >> k & 1))
+    return out
+
+
+# gamma_k = +1 at k = 1, 2, 5, 7, 8, 9: the irregular vector of the algebra tests
+_IRREGULAR_GAMMAS = (-1, 1, 1, -1, -1, 1, -1, 1, 1, 1, -1, -1)
+
+
+def _reference_masks(level):
+    return {
+        "standard": 0,
+        "split": 1 << (level - 1),
+        "all-ones": (1 << level) - 1,
+        "irregular": AlgebraSignature.from_gammas(_IRREGULAR_GAMMAS[:level]).mask,
+    }
+
+
 class TestTwistMatrix:
     @pytest.mark.parametrize("level, split", _kinds_through(8))
     def test_matches_scalar_exhaustive(self, level, split):
@@ -231,6 +266,44 @@ class TestTwistMatrix:
             assert matrix.tolist() == scalar, mask
             assert (twist_batch(A, B, level, mask) == matrix).all(), mask
             assert (matrix ^ base == np.bitwise_count(A & B & mask) & 1).all(), mask
+
+    @pytest.mark.parametrize("level", range(9, 13))
+    @pytest.mark.parametrize("kind", ["standard", "split", "all-ones", "irregular"])
+    def test_matches_the_transposing_builder(self, level, kind):
+        mask = _reference_masks(level)[kind]
+        assert np.array_equal(twist_matrix(level, mask), _transposing_twist_matrix(level, mask))
+
+    def test_scratch_is_a_quarter_of_the_output(self):
+        # the output (4**12 bytes) and the carried transpose (4**11) are all it holds
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            matrix = twist_matrix(12, 1 << 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert matrix.nbytes == 4**12
+        assert peak <= 1.3 * 4**12, peak / 4**12
+
+    @pytest.mark.parametrize("level", [13, 20, 62])
+    def test_levels_above_the_table_limit_are_refused_before_allocating(self, level, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("allocated above the table limit")
+
+        monkeypatch.setattr(twist_module.np, "zeros", boom)
+        monkeypatch.setattr(twist_module.np, "empty", boom)
+        with pytest.raises(ValueError, match="cap is 12"):
+            twist_matrix(level)
+
+    def test_the_table_limit_is_defined_once(self):
+        assert MAX_TABLE_LEVEL == 12
+        assert analysis.DEFAULT_TABLE_CAP == MAX_TABLE_LEVEL
+        with pytest.raises(ValueError, match="cap is 12"):
+            analysis._check_table_level(13)
+        analysis._check_table_level(12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mask"):
