@@ -4,9 +4,9 @@ An element of the level-n algebra is a dense vector of 2**n rational
 coefficients; coefficient A multiplies the basis element e_A. Generator
 g_i is the unit vector at index 2**i, and e_A is the left-to-right product
 of the generators selected by the set bits of A (lowest bit first). The
-algebra itself is described by an `AlgebraSignature`: the level n plus one
-doubling parameter per level, each -1 (imaginary new unit) or +1
-(hyperbolic new unit).
+algebra itself is described by an `AlgebraSignature`: one doubling
+parameter per level, each -1 (imaginary new unit) or +1 (hyperbolic new
+unit), whose count is the level n.
 
 Two multiplication engines are provided, for every parameter vector, and
 must agree. Both multiply ints over one common denominator per operand,
@@ -63,7 +63,10 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 # ``split_twist`` has no caller here; perfbench/tracer.py wraps
 # ``algebra.split_twist`` by name, so the name stays importable.
@@ -99,46 +102,48 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class AlgebraSignature:
-    """Level plus per-level doubling parameters.
+    """The algebra of one doubling-parameter vector.
 
     ``gammas[i]`` is the parameter of the i-th doubling step. The standard
     algebra uses -1 at every level; the split variant flips only the last
     one to +1. Any +-1 vector is allowed, and ``mask`` is all the twist
-    layer needs of it: both engines work for every vector.
+    layer needs of it: both engines work for every vector. The vector is
+    the one field; ``level``, ``dimension`` and ``mask`` are derived from
+    it on first read and then kept, since the engines read them on every
+    product.
     """
 
-    level: int
     gammas: tuple[int, ...]
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
-        if len(self.gammas) != self.level:
-            raise ValueError(
-                f"need {self.level} doubling parameters, got {len(self.gammas)}"
-            )
         if any(g not in (-1, 1) for g in self.gammas):
             raise ValueError(f"doubling parameters must be +-1, got {self.gammas}")
 
     @classmethod
     def standard(cls, level: int) -> "AlgebraSignature":
-        return cls(level, (-1,) * level)
+        if level < 0:
+            raise ValueError(f"level must be nonnegative, got {level}")
+        return cls((-1,) * level)
 
     @classmethod
     def split(cls, level: int) -> "AlgebraSignature":
         if level < 1:
             raise ValueError("split algebras need level >= 1")
-        return cls(level, (-1,) * (level - 1) + (1,))
+        return cls((-1,) * (level - 1) + (1,))
 
     @classmethod
     def from_gammas(cls, gammas: Sequence[int]) -> "AlgebraSignature":
-        return cls(len(gammas), tuple(gammas))
+        return cls(tuple(gammas))
 
-    @property
+    @cached_property
+    def level(self) -> int:
+        return len(self.gammas)
+
+    @cached_property
     def dimension(self) -> int:
         return 1 << self.level
 
-    @property
+    @cached_property
     def mask(self) -> int:
         """Bit k set where ``gammas[k]`` is +1: the twist's one dependence on the kind."""
         return sum(1 << k for k, g in enumerate(self.gammas) if g == 1)
@@ -176,11 +181,11 @@ class SignedIndex(NamedTuple):
 MAX_DENSE_LEVEL = 20
 
 
-def _check_dense_level(signature: AlgebraSignature) -> None:
-    if signature.level > MAX_DENSE_LEVEL:
+def _check_dense_level(level: int) -> None:
+    if level > MAX_DENSE_LEVEL:
         raise ValueError(
             f"dense elements are capped at level {MAX_DENSE_LEVEL} "
-            f"(2**{MAX_DENSE_LEVEL} coefficients), got level {signature.level}"
+            f"(2**{MAX_DENSE_LEVEL} coefficients), got level {level}"
         )
 
 
@@ -215,7 +220,7 @@ class Element:
     __slots__ = ("signature", "coeffs", "_has_fraction")
 
     def __init__(self, signature: AlgebraSignature, coeffs: Sequence):
-        _check_dense_level(signature)
+        _check_dense_level(signature.level)
         coeffs = tuple(coeffs)
         if len(coeffs) != signature.dimension:
             raise ValueError(
@@ -297,7 +302,7 @@ class Element:
 
 
 def zero(signature: AlgebraSignature) -> Element:
-    _check_dense_level(signature)
+    _check_dense_level(signature.level)
     return Element._trusted(signature, (0,) * signature.dimension, False)
 
 
@@ -306,7 +311,7 @@ def unit(signature: AlgebraSignature):
 
 
 def basis_element(signature: AlgebraSignature, index: int) -> Element:
-    _check_dense_level(signature)
+    _check_dense_level(signature.level)
     if not 0 <= index < signature.dimension:
         raise ValueError(
             f"basis index must lie in [0, {signature.dimension}), got {index}"
@@ -318,7 +323,7 @@ def basis_element(signature: AlgebraSignature, index: int) -> Element:
 
 def random_element(signature, rng: random.Random) -> Element:
     """Element with integer coefficients drawn uniformly from [-9, 9]."""
-    _check_dense_level(signature)
+    _check_dense_level(signature.level)
     return Element._trusted(
         signature, tuple(rng.randint(-9, 9) for _ in range(signature.dimension)), False
     )
@@ -453,8 +458,6 @@ def _mul_int64(
     ``_twist_row(table, A, n, mask)`` holds 1 at B. Returns Python ints.
     Exact only under the bound ``mul_twist`` checks.
     """
-    import numpy as np  # already loaded by the twist layer; kept out of the module imports
-
     size = 1 << n
     y = np.array(ys, dtype=np.int64)
     neg, idx = -y, np.arange(size)

@@ -58,7 +58,6 @@ from .twist import (  # noqa: F401
 
 __all__ = [
     "BenchRow",
-    "DEFAULT_TABLE_CAP",
     "MultiplicationTable",
     "PropertyReport",
     "ZeroDivisorPair",
@@ -75,7 +74,10 @@ __all__ = [
     "verify_zero_divisors",
 ]
 
-DEFAULT_TABLE_CAP = MAX_TABLE_LEVEL
+# ``benchmark_engines`` holds about 150 bytes per query (index pairs, arrays,
+# every engine's answers) beside about 75 MiB of cold recursion memo; a
+# level-24 run at this bound peaked at 295 MiB RSS.
+MAX_BENCH_QUERIES = 1 << 20
 
 # Exhaustive basis triples stay desk-scale through level 5; beyond that
 # only seeded random sampling.
@@ -156,7 +158,7 @@ def build_table(signature: AlgebraSignature) -> MultiplicationTable:
 
     Built by block doubling (``twist_matrix``), with a seeded sample checked
     against the batch closed form of the same kind (``twist_batch`` with the mask).
-    Levels above ``DEFAULT_TABLE_CAP`` (a 16 MiB sign matrix) are refused.
+    Levels above ``MAX_TABLE_LEVEL`` (a 16 MiB sign matrix) are refused.
     """
     n, mask = signature.level, signature.mask
     _check_table_level(n)
@@ -208,7 +210,7 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     formula, the split reduction, and invariance under padding the level
     upward. The recursion side is the block-doubling table (``twist_matrix``)
     of each kind, compared entry by entry with the scalar closed form; no
-    memo is read. Levels above ``DEFAULT_TABLE_CAP`` are refused.
+    memo is read. Levels above ``MAX_TABLE_LEVEL`` are refused.
     """
     if level < 1:
         raise ValueError("twist-law sweeps need level >= 1")
@@ -667,15 +669,15 @@ def benchmark_engines(
     memoized recursion (query count capped; each repetition recurses into a
     fresh memo local to it, so the timing is cold and the process-wide
     ``twist_recursive`` memo is left alone), and table lookup
-    (levels within ``DEFAULT_TABLE_CAP``; build time excluded). Wall-clock
+    (levels within ``MAX_TABLE_LEVEL``; build time excluded). Wall-clock
     medians over ``reps`` repetitions. Each timed call returns one exponent
     per query; at every level, every engine's answers must equal the closed
     form's, checked outside the timed call, and disagreement raises.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if queries < 1:
-        raise ValueError("queries must be >= 1")
+    if not 1 <= queries <= MAX_BENCH_QUERIES:
+        raise ValueError(f"queries must be in [1, {MAX_BENCH_QUERIES}], got {queries}")
     if not levels:
         raise ValueError("no benchmark level given")
     if not all(1 <= level <= MAX_LEVEL for level in levels):
@@ -703,7 +705,7 @@ def benchmark_engines(
             "closed_batch": (pairs, lambda: twist_batch(a_arr, b_arr, level)),
             "recursive_memo": (rec_pairs, cold_recursion),
         }
-        if level <= DEFAULT_TABLE_CAP:
+        if level <= MAX_TABLE_LEVEL:
             table = [row.tobytes() for row in twist_matrix(level)]
             engines["table_lookup"] = (pairs, lambda: [table[a][b] for a, b in pairs])
 

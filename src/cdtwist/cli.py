@@ -19,25 +19,38 @@ from . import analysis
 from .algebra import (
     AlgebraSignature,
     InvariantViolation,
+    _check_dense_level,
     basis_mul,
     format_coeffs,
     mul_doubling,
     mul_twist,
     parse_element,
 )
+from .twist import _check_table_level
 
 
 # suite -> (takes an algebra of the chosen kind, lowest level, default top
-# level, call(args, the algebra or the level) -> reports). Suites run in
-# this order; each report carries its own verdict.
+# level, the library's check of the top level, call(args, the algebra or
+# the level) -> reports). Suites run in this order; each report carries its
+# own verdict. The table suites hold a 4**n-entry table, the others dense
+# elements (the relations' at level + 1).
 SUITES = {
-    "twist-laws": (False, 1, 8, lambda a, n: analysis.verify_twist_laws(n)),
+    "twist-laws": (False, 1, 8, _check_table_level, lambda a, n: analysis.verify_twist_laws(n)),
     "algebra-laws": (
-        True, 0, 5, lambda a, sig: analysis.verify_algebra_laws(sig, a.samples, a.seed)
+        True, 0, 5, _check_dense_level,
+        lambda a, sig: analysis.verify_algebra_laws(sig, a.samples, a.seed),
     ),
-    "relations": (False, 0, 5, lambda a, n: analysis.verify_relations(n, a.samples, a.seed)),
-    "engines": (True, 0, 6, lambda a, sig: analysis.verify_engines(sig, a.samples, a.seed)),
-    "zero-divisors": (True, 1, 4, lambda a, sig: analysis.verify_zero_divisors(sig, a.budget)),
+    "relations": (
+        False, 0, 5, lambda n: _check_dense_level(n + 1),
+        lambda a, n: analysis.verify_relations(n, a.samples, a.seed),
+    ),
+    "engines": (
+        True, 0, 6, _check_dense_level,
+        lambda a, sig: analysis.verify_engines(sig, a.samples, a.seed),
+    ),
+    "zero-divisors": (
+        True, 1, 4, _check_table_level, lambda a, sig: analysis.verify_zero_divisors(sig, a.budget)
+    ),
 }
 
 
@@ -137,16 +150,11 @@ def _signature(args) -> AlgebraSignature:
     if getattr(args, "gamma", None) is not None:
         if args.split:
             raise ValueError("--gamma and --split are mutually exclusive")
-        gammas = []
-        for part in args.gamma.split(","):
-            part = part.strip()
-            if part in ("1", "+1"):
-                gammas.append(1)
-            elif part == "-1":
-                gammas.append(-1)
-            else:
-                raise ValueError(f"bad doubling parameter {part!r} (want +1 or -1)")
-        sig = AlgebraSignature.from_gammas(gammas)
+        try:
+            gammas = [int(part) for part in args.gamma.split(",")]
+        except ValueError:
+            raise ValueError(f"bad doubling parameter in {args.gamma!r} (want +1 or -1)") from None
+        sig = AlgebraSignature.from_gammas(gammas)  # refuses any entry but +-1
         if args.level is not None and args.level != sig.level:
             raise ValueError(
                 f"--level {args.level} conflicts with {sig.level} gamma entries"
@@ -236,8 +244,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     kind = AlgebraSignature.split if args.split else AlgebraSignature.standard
-    reports = []
-    for name, (on_algebra, lowest, top, call) in SUITES.items():
+    runs = []  # (call, takes an algebra, levels): every top level is checked first
+    for name, (on_algebra, lowest, top, check_level, call) in SUITES.items():
         # the other suites' reports do not depend on the kind
         if (args.suite and name not in args.suite) or (args.split and not on_algebra):
             continue
@@ -246,7 +254,14 @@ def _cmd_verify(args) -> int:
             lowest, top = max(lowest, args.level), args.level
         elif args.n_max is not None:
             top = args.n_max
-        for level in range(lowest, top + 1):
+        try:
+            check_level(top)
+        except ValueError as exc:
+            raise ValueError(f"suite {name}: {exc}") from None
+        runs.append((call, on_algebra, range(lowest, top + 1)))
+    reports = []
+    for call, on_algebra, levels in runs:
+        for level in levels:
             reports += call(args, kind(level) if on_algebra else level)
     if not reports:
         raise ValueError("no property selected (check --suite, -n, --n-max and --split)")

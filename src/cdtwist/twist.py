@@ -201,25 +201,27 @@ def split_twist_recursive(A: int, B: int, level: int) -> int:
     is peeled with the split rule (``square=0``: the hyperbolic unit squares
     to +1) and the low parts are evaluated with the standard recursion.
     """
-    if level < 1:
-        raise ValueError("split algebras need level >= 1")
-    _check_pair(A, B, level)
+    _check_pair(A, B, level, _split_mask(level))
     return _peel(A, B, twist_recursive, level - 1, square=0)
 
 
 def twist_batch(A, B, level: int, mask: int = 0) -> np.ndarray:
     """Vectorized ``twist`` over arrays of indices.
 
-    Accepts anything ``np.asarray`` turns into integer arrays of equal
-    shape; returns a uint8 array of exponents. Used to sample-check table
-    builds and by the benchmark harness, and cross-checked against the
-    scalar routes in the test suite.
+    Accepts anything ``np.asarray`` turns into integer (or bool) arrays of
+    equal shape; any other non-empty input, floats included, is refused
+    rather than cast. Returns a uint8 array of exponents. Used to
+    sample-check table builds and by the benchmark harness, and
+    cross-checked against the scalar routes in the test suite.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     _check_mask(level, mask)
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
+    A, B = np.asarray(A), np.asarray(B)
+    for v in (A, B):
+        if v.size and v.dtype.kind not in "biu":
+            raise ValueError(f"indices must be integers, got dtype {v.dtype}")
+    A, B = A.astype(np.int64, copy=False), B.astype(np.int64, copy=False)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
     bound = np.int64(1) << level

@@ -66,12 +66,29 @@ class TestSignature:
         assert AlgebraSignature.from_gammas((1,)) == SPL(1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AlgebraSignature(2, (-1,))
-        with pytest.raises(ValueError):
-            AlgebraSignature(1, (2,))
-        with pytest.raises(ValueError):
-            AlgebraSignature(-1, ())
+        # the vector is the one field; the level is its length
+        with pytest.raises(ValueError, match=r"must be \+-1"):
+            AlgebraSignature((2,))
+        with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
+            AlgebraSignature.standard(-1)
+
+    def test_the_vector_is_the_signature(self):
+        for kind in KINDS:
+            for n in range(kind == "split", 15):
+                gammas = _signature_of(kind, n).gammas
+                sig = AlgebraSignature(gammas)
+                assert sig == AlgebraSignature.from_gammas(gammas), (kind, n)
+                assert hash(sig) == hash(AlgebraSignature.from_gammas(gammas))
+                assert sig.level == len(gammas) and sig.dimension == 1 << len(gammas)
+                assert sig.mask == sum(1 << k for k, g in enumerate(gammas) if g == 1)
+
+    def test_derived_fields_are_computed_once(self):
+        sig = AlgebraSignature.from_gammas((1, -1, 1))
+        assert (sig.level, sig.mask, sig.dimension) == (3, 0b101, 8)
+        # read back as plain instance attributes, not recomputed per read
+        assert {"level", "mask", "dimension"} <= vars(sig).keys()
+        with pytest.raises(AttributeError):
+            sig.gammas = (1,)
 
     def test_level_zero_is_standard(self):
         assert STD(0).kind == "standard"

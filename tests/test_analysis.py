@@ -1,6 +1,7 @@
 """Tests for tables, law sweeps, zero-divisor search, and benchmarks."""
 
 import itertools
+import types
 from collections import Counter
 
 import numpy as np
@@ -475,6 +476,16 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="level"):
             benchmark_engines([])
 
+    def test_queries_above_the_bound_are_refused_before_any_draw(self, monkeypatch):
+        # about 150 bytes per query: 10**8 queries would need gigabytes
+        assert analysis.MAX_BENCH_QUERIES == 1 << 20
+        monkeypatch.setattr(
+            analysis, "random", types.SimpleNamespace(Random=lambda *a: pytest.fail("drew queries"))
+        )
+        for queries in ((1 << 20) + 1, 10**8):
+            with pytest.raises(ValueError, match=f"queries must be in \\[1, 1048576\\], got {queries}"):
+                benchmark_engines([24], queries=queries, reps=1)
+
     def test_level_past_max_level_is_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(analysis, "twist", lambda *a: pytest.fail("timed a level"))
         with pytest.raises(ValueError, match="62"):
@@ -495,7 +506,7 @@ class TestBenchmark:
         with pytest.raises(InvariantViolation, match="recursive_memo vs closed form"):
             benchmark_engines([4], queries=64, reps=1)
         monkeypatch.setattr(analysis, "_peel", right)
-        # above DEFAULT_TABLE_CAP there is no table, and the answers are still checked
+        # above MAX_TABLE_LEVEL there is no table, and the answers are still checked
         batch = analysis.twist_batch
         monkeypatch.setattr(analysis, "twist_batch", lambda A, B, level: batch(A, B, level) ^ 1)
         with pytest.raises(InvariantViolation, match="closed_batch vs closed form .* level 16"):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -352,6 +353,43 @@ class TestVerify:
         assert code == 0
         assert json.loads(out.splitlines()[0])["checked"] == 4096 + 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--suite", "twist-laws", "--n-max", "13"), "cap is 12"),
+            (("--suite", "zero-divisors", "--n-max", "13", "--budget", "0"), "cap is 12"),
+            (("--suite", "engines", "--n-max", "21"), "capped at level 20"),
+            (("--suite", "algebra-laws", "--split", "-n", "21"), "capped at level 20"),
+            (("--suite", "relations", "-n", "20"), "capped at level 20"),
+            (("--n-max", "13"), "cap is 12"),
+            (("--suite", "engines", "--suite", "twist-laws", "--n-max", "13"), "cap is 12"),
+        ],
+        ids=["twist-laws", "zero-divisors", "engines", "algebra-laws-split", "relations",
+             "all", "engines-then-twist-laws"],
+    )
+    def test_levels_above_a_suite_limit_are_refused_before_any_suite_runs(
+        self, capsys, monkeypatch, argv, message
+    ):
+        for name in dir(analysis):
+            if name.startswith("verify_"):
+                monkeypatch.setattr(analysis, name, lambda *a, **k: pytest.fail("a suite ran"))
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_levels_at_the_suite_limits_pass_the_check(self, capsys, monkeypatch):
+        # the last level each suite allows reaches the suite (stubbed here)
+        ran = []
+        for name in dir(analysis):
+            if name.startswith("verify_"):
+                monkeypatch.setattr(analysis, name, lambda *a, n=name, **k: ran.append(n) or [])
+        for suite, level in (("twist-laws", 12), ("zero-divisors", 12), ("engines", 20),
+                             ("algebra-laws", 20), ("relations", 19)):
+            code, out, err = run(capsys, "verify", "--suite", suite, "-n", str(level))
+            assert code == 1 and "no property selected" in err, suite
+        assert ran == ["verify_twist_laws", "verify_zero_divisors", "verify_engines",
+                       "verify_algebra_laws", "verify_relations"]
+
     def test_negative_budget_is_refused_at_parse_time(self, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a suite ran before --budget was checked")
@@ -448,6 +486,15 @@ class TestBench:
         assert code == 1 and out == ""
         assert "queries" in err
 
+    @pytest.mark.parametrize("queries", [str((1 << 20) + 1), "100000000"])
+    def test_queries_above_the_bound_are_domain_errors(self, capsys, monkeypatch, queries):
+        monkeypatch.setattr(
+            analysis, "random", types.SimpleNamespace(Random=lambda *a: pytest.fail("drew queries"))
+        )
+        code, out, err = run(capsys, "bench", "--levels", "24", "--queries", queries)
+        assert code == 1 and out == ""
+        assert "queries" in err and "Traceback" not in err
+
     def test_empty_level_list_is_domain_error(self, capsys):
         code, out, err = run(capsys, "bench", "--levels", ",")
         assert code == 1 and out == ""
@@ -486,6 +533,18 @@ class TestUsageErrors:
         code, _, err = run(capsys, "mul", "--gamma=-1,0", "0,1", "0,1")
         assert code == 1
         assert "doubling parameter" in err
+
+    @pytest.mark.parametrize("gamma", ["+1,x", "+1,2", "+1,", "1.0,-1"])
+    def test_gamma_entries_other_than_plus_minus_one(self, capsys, gamma):
+        # a non-integer fails the CLI's int(); any other integer fails the signature
+        code, out, err = run(capsys, "mul", f"--gamma={gamma}", "0,1,0,0", "0,1,0,0")
+        assert code == 1 and out == ""
+        assert "doubling parameter" in err and "Traceback" not in err
+
+    def test_gamma_entries_are_integers(self, capsys):
+        for gamma in ("+1,-1", "1, -1", " +1 ,-1"):
+            code, out, _ = run(capsys, "mul", f"--gamma={gamma}", "0,1,0,0", "0,1,0,0")
+            assert code == 0 and out == "1,0,0,0\n", gamma
 
 
 # A base invocation of each command that exits 0, and the flags each command

@@ -158,8 +158,12 @@ class TestSplitTwist:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             split_twist(0, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="split algebras need level >= 1"):
             split_twist_recursive(0, 0, 0)
+        with pytest.raises(ValueError, match="split algebras need level >= 1"):
+            split_twist_recursive(0, 0, -1)
+        with pytest.raises(ValueError, match=r"\[0, 8\)"):
+            split_twist_recursive(8, 0, 3)
 
 
 class TestBatch:
@@ -181,6 +185,26 @@ class TestBatch:
             twist_batch([8], [0], 3)
         with pytest.raises(ValueError):
             twist_batch([0], [-1], 3)
+
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [([1.5], "float64"), ([1.0], "float64"), ([1j], "complex128"), (["1"], "<U1")],
+        ids=["float", "integral-float", "complex", "string"],
+    )
+    def test_non_integer_input_is_refused(self, bad, dtype):
+        # a float used to be cast to int64, so 1.5 silently read as index 1
+        for A, B in ((bad, [2]), ([2], bad)):
+            with pytest.raises(ValueError, match=f"dtype {dtype}"):
+                twist_batch(A, B, 3)
+
+    def test_integer_and_bool_input(self):
+        a = np.array([1, 5, 7], dtype=np.int64)
+        assert twist_batch(a, a, 3).tolist() == [1, 1, 1]
+        assert twist_batch(a.astype(np.uint8), [1, 2, 3], 3).tolist() == [
+            twist(1, 1, 3), twist(5, 2, 3), twist(7, 3, 3)
+        ]
+        assert twist_batch([True, False], [True, True], 1).tolist() == [1, 0]
+        assert twist_batch([], [], 3).tolist() == []
 
     def test_2d_shapes(self):
         a = np.arange(8, dtype=np.int64)[:, None]
@@ -300,7 +324,7 @@ class TestTwistMatrix:
 
     def test_the_table_limit_is_defined_once(self):
         assert MAX_TABLE_LEVEL == 12
-        assert analysis.DEFAULT_TABLE_CAP == MAX_TABLE_LEVEL
+        assert not hasattr(analysis, "DEFAULT_TABLE_CAP")
         with pytest.raises(ValueError, match="cap is 12"):
             analysis._check_table_level(13)
         analysis._check_table_level(12)
