@@ -20,6 +20,7 @@ import math
 import random
 import statistics
 import time
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,8 +47,6 @@ from .twist import (  # noqa: F401
     _check_table_level,
     _peel,
     degree,
-    ell,
-    phi,
     split_twist,
     split_twist_batch,
     twist,
@@ -201,6 +200,60 @@ def _report(name, kind, level, found, seed=None, expected=True) -> PropertyRepor
     return PropertyReport(name, kind, level, witness is None, checked, witness, seed, expected)
 
 
+# Most index pairs a twist-law predicate sees at once: level 8 is one block,
+# and above it the arrays beside the tables are the size of a block.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _scalar_rows(sigma, level: int, rows: range, dim: int) -> np.ndarray:
+    """``sigma(A, B, level)`` for A in ``rows`` and B below ``dim``, one
+    scalar call per entry, as a uint8 view of the rows' bytes."""
+    table = b"".join(bytes([sigma(A, B, level) for B in range(dim)]) for A in rows)
+    return np.frombuffer(table, np.uint8).reshape(len(rows), dim)
+
+
+def _row_blocks(level: int):
+    """The pairs of a level in blocks of whole rows, in row-major order.
+
+    Each block holds at most ``_BLOCK_PAIRS`` pairs: a uint16 column ``A``
+    and row ``B`` of indices (the table cap keeps them below 2**16), their
+    uint8 degrees, the cut ``ell(A, B)`` (the max of the degrees of A, B and
+    A ^ B) and the bits of A and B at the cut. ``degree`` is called once per
+    index. The cut and its bits are ``ell``'s only where ``distinct``: the
+    distinct positive pairs, the only ones that read them.
+    """
+    dim = 1 << level
+    degrees = np.array([0] + [degree(i) for i in range(1, dim)], np.uint8)
+    B = np.arange(dim, dtype=np.uint16)[None, :]
+    step = max(1, _BLOCK_PAIRS // dim)
+    for start in range(0, dim, step):
+        A = np.arange(start, min(start + step, dim), dtype=np.uint16)[:, None]
+        deg_a, deg_b = degrees[A], degrees[B]
+        cut = np.maximum(np.maximum(deg_a, deg_b), degrees[A ^ B])
+        yield types.SimpleNamespace(
+            rows=slice(start, start + len(A)),
+            A=A,
+            B=B,
+            distinct=(A != B) & (A != 0) & (B != 0),
+            deg_a=deg_a,
+            deg_b=deg_b,
+            cut=cut,
+            bit_a=((A >> cut) & 1).astype(np.uint8),
+            bit_b=((B >> cut) & 1).astype(np.uint8),
+        )
+
+
+def _first_hit(fails, candidates=None):
+    """Flat index of the first true entry of ``fails`` among ``candidates``
+    (every entry when None), or None, and how many candidates are evaluated
+    up to it: what ``_first_failure`` returns on those pairs in order."""
+    hits = np.flatnonzero(fails if candidates is None else fails & candidates)
+    first = int(hits[0]) if hits.size else None
+    end = fails.size if first is None else first + 1
+    seen = end if candidates is None else int(np.count_nonzero(candidates.ravel()[:end]))
+    return first, seen
+
+
 def verify_twist_laws(level: int) -> list[PropertyReport]:
     """Exhaustively check the structural twist identities at one level.
 
@@ -209,8 +262,13 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     antisymmetry, the two cut-bit facts, the unified upper-triangle
     formula, the split reduction, and invariance under padding the level
     upward. The recursion side is the block-doubling table (``twist_matrix``)
-    of each kind, compared entry by entry with the scalar closed form; no
-    memo is read. Levels above ``MAX_TABLE_LEVEL`` are refused.
+    of each kind; no memo is read. The closed-form side is built entry by
+    entry from the scalar ``twist`` and ``split_twist``, one call per entry
+    at the level and one per entry two levels up. The laws are then
+    evaluated on numpy arrays, one block of at most ``_BLOCK_PAIRS`` pairs
+    (whole rows) at a time in row-major order, and each keeps its first
+    failing pair and the number of its pairs evaluated up to there, as a
+    pair-by-pair sweep would. Levels above ``MAX_TABLE_LEVEL`` are refused.
     """
     if level < 1:
         raise ValueError("twist-law sweeps need level >= 1")
@@ -218,57 +276,57 @@ def verify_twist_laws(level: int) -> list[PropertyReport]:
     dim = 1 << level
     top = level - 1
 
-    closed = [bytes([twist(A, B, level) for B in range(dim)]) for A in range(dim)]
-    split_closed = [bytes([split_twist(A, B, level) for B in range(dim)]) for A in range(dim)]
-    recursive = [row.tobytes() for row in twist_matrix(level)]
-    split_recursive = [row.tobytes() for row in twist_matrix(level, 1 << top)]
+    closed = _scalar_rows(twist, level, range(dim), dim)
+    split_closed = _scalar_rows(split_twist, level, range(dim), dim)
+    recursive = twist_matrix(level)
+    split_recursive = twist_matrix(level, 1 << top)
 
-    def all_pairs():
-        return itertools.product(range(dim), repeat=2)
+    # The zero row, then the zero column: not a row-major order.
+    unit, unit_checked = _first_hit(np.concatenate([closed[0], closed[:, 0]]) != 0)
+    unit_witness = None if unit is None else (0, unit) if unit < dim else (unit - dim, 0)
 
-    def distinct_pairs():
-        return ((A, B) for A in range(1, dim) for B in range(1, dim) if A != B)
-
-    def breaks_unified_form(A, B):
-        cut = ell(A, B)
-        expected = (
-            (1 if degree(A) == degree(B) else 0)
-            + ((B >> cut) & 1)
-            + ((A | B) >> cut).bit_count()
-        ) & 1
-        return closed[A][B] != expected
-
-    # (property, kind, index pairs, violation of the identity on one pair)
+    # (property, kind, law on a block k: (its candidate pairs or None for
+    # every pair, the pairs that violate it))
     laws = [
-        ("closed_equals_recursive", "standard", all_pairs(),
-         lambda A, B: closed[A][B] != recursive[A][B]),
-        ("split_closed_equals_recursive", "split", all_pairs(),
-         lambda A, B: split_closed[A][B] != split_recursive[A][B]),
-        ("unit_row_and_column", "standard",
-         [(0, B) for B in range(dim)] + [(A, 0) for A in range(dim)],
-         lambda A, B: closed[A][B] != 0),
-        ("nonzero_diagonal_is_one", "standard", ((A, A) for A in range(1, dim)),
-         lambda A, B: closed[A][A] != 1),
-        ("off_diagonal_antisymmetry", "standard", distinct_pairs(),
-         lambda A, B: (closed[A][B] + closed[B][A]) & 1 != 1),
+        ("closed_equals_recursive", "standard",
+         lambda k: (None, closed[k.rows] != recursive[k.rows])),
+        ("split_closed_equals_recursive", "split",
+         lambda k: (None, split_closed[k.rows] != split_recursive[k.rows])),
+        ("nonzero_diagonal_is_one", "standard",
+         lambda k: ((k.A == k.B) & (k.A != 0), closed[k.rows] != 1)),
+        ("off_diagonal_antisymmetry", "standard",
+         lambda k: (k.distinct, (closed[k.rows] + closed[:, k.rows].T) & 1 != 1)),
         ("equal_degree_cut_bits_differ", "standard",
-         ((A, B) for A, B in distinct_pairs() if degree(A) == degree(B)),
-         lambda A, B: ((A >> ell(A, B)) & 1) + ((B >> ell(A, B)) & 1) != 1),
-        ("cut_bit_or_is_one", "standard", distinct_pairs(),
-         lambda A, B: phi((A >> ell(A, B)) & 1, (B >> ell(A, B)) & 1) != 1),
+         lambda k: (k.distinct & (k.deg_a == k.deg_b), k.bit_a + k.bit_b != 1)),
+        ("cut_bit_or_is_one", "standard",
+         lambda k: (k.distinct, k.bit_a | k.bit_b != 1)),
         ("unified_upper_form", "standard",
-         ((A, B) for A, B in distinct_pairs() if degree(A) >= degree(B)),
-         breaks_unified_form),
-        ("split_reduction", "split", all_pairs(),
-         lambda A, B: (split_closed[A][B] ^ closed[A][B])
-         != (((A >> top) & (B >> top)) & 1)),
-        ("padding_invariance", "standard", all_pairs(),
-         lambda A, B: closed[A][B] != twist(A, B, level + 2)),
+         lambda k: (
+             k.distinct & (k.deg_a >= k.deg_b),
+             closed[k.rows] != ((k.deg_a == k.deg_b) + k.bit_b
+                                + np.bitwise_count((k.A | k.B) >> k.cut)) & 1,
+         )),
+        ("split_reduction", "split",
+         lambda k: (None, (split_closed[k.rows] ^ closed[k.rows])
+                    != ((k.A >> top) & (k.B >> top) & 1))),
+        ("padding_invariance", "standard",
+         lambda k: (None, closed[k.rows]
+                    != _scalar_rows(twist, level + 2, range(dim)[k.rows], dim))),
     ]
-    return [
-        _report(name, kind, level, _first_failure(pairs, violates))
-        for name, kind, pairs, violates in laws
-    ]
+    found = [(None, 0)] * len(laws)
+    for k in _row_blocks(level):
+        for i, (_, _, law) in enumerate(laws):
+            witness, checked = found[i]
+            if witness is None:
+                candidates, fails = law(k)
+                hit, seen = _first_hit(fails, candidates)
+                if hit is not None:
+                    witness = (k.rows.start + hit // dim, hit % dim)
+                found[i] = (witness, checked + seen)
+    reports = [_report(name, kind, level, f) for (name, kind, _), f in zip(laws, found)]
+    reports.insert(2, _report("unit_row_and_column", "standard", level,
+                              (unit_witness, unit_checked)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +522,14 @@ def verify_relations(
     Operands a, b live at ``level``; the relations involve the freshly
     adjoined generator g at level + 1 (standard parameters, so g is a new
     imaginary unit). All products use the doubling engine.
+
+    Pairs are drawn one at a time and every relation that has not failed yet
+    is checked on each. A pair's conjugates conj(a), conj(b) and its products
+    a*g, g*a, b*g, g*b and b*a are computed once and read by every relation
+    that needs them; g*g and conj(g), which no operand enters, once per sweep.
+    Each relation still counts one check per pair it sees and stops at its
+    first failing pair, its witness, so ``checked`` is what sweeping that
+    relation alone over the pairs would count.
     """
     inner = AlgebraSignature.standard(level)
     ambient = AlgebraSignature.standard(level + 1)
@@ -471,38 +537,41 @@ def verify_relations(
     one = basis_element(ambient, 0)
     m = mul_doubling
     c = conjugate
+    g_squared_is_minus_one = m(g, g) == -one
+    conj_g_is_minus_g = c(g) == -g
 
+    # Each relation reads one pair p: a, b, ca = conj(a), cb = conj(b) and
+    # the products ag, ga, bg, gb and ba.
     relations = [
-        ("g*g == -1", lambda a, b: m(g, g) == -one),
-        ("conj(g) == -g", lambda a, b: c(g) == -g),
-        ("a*(g*b) == g*(conj(a)*b)", lambda a, b: m(a, m(g, b)) == m(g, m(c(a), b))),
-        ("(a*g)*b == (a*conj(b))*g", lambda a, b: m(m(a, g), b) == m(m(a, c(b)), g)),
-        (
-            "(g*a)*(b*g) == -conj(a*b)",
-            lambda a, b: m(m(g, a), m(b, g)) == -c(m(a, b)),
-        ),
-        ("a*g == g*conj(a)", lambda a, b: m(a, g) == m(g, c(a))),
-        ("g*a == conj(a)*g", lambda a, b: m(g, a) == m(c(a), g)),
-        ("(g*a)*b == g*(b*a)", lambda a, b: m(m(g, a), b) == m(g, m(b, a))),
-        ("a*(b*g) == (b*a)*g", lambda a, b: m(a, m(b, g)) == m(m(b, a), g)),
-        ("(g*a)*(g*b) == -b*conj(a)", lambda a, b: m(m(g, a), m(g, b)) == -m(b, c(a))),
-        ("(a*g)*(b*g) == -conj(b)*a", lambda a, b: m(m(a, g), m(b, g)) == -m(c(b), a)),
+        ("g*g == -1", lambda p: g_squared_is_minus_one),
+        ("conj(g) == -g", lambda p: conj_g_is_minus_g),
+        ("a*(g*b) == g*(conj(a)*b)", lambda p: m(p.a, p.gb) == m(g, m(p.ca, p.b))),
+        ("(a*g)*b == (a*conj(b))*g", lambda p: m(p.ag, p.b) == m(m(p.a, p.cb), g)),
+        ("(g*a)*(b*g) == -conj(a*b)", lambda p: m(p.ga, p.bg) == -c(m(p.a, p.b))),
+        ("a*g == g*conj(a)", lambda p: p.ag == m(g, p.ca)),
+        ("g*a == conj(a)*g", lambda p: p.ga == m(p.ca, g)),
+        ("(g*a)*b == g*(b*a)", lambda p: m(p.ga, p.b) == m(g, p.ba)),
+        ("a*(b*g) == (b*a)*g", lambda p: m(p.a, p.bg) == m(p.ba, g)),
+        ("(g*a)*(g*b) == -b*conj(a)", lambda p: m(p.ga, p.gb) == -m(p.b, p.ca)),
+        ("(a*g)*(b*g) == -conj(b)*a", lambda p: m(p.ag, p.bg) == -m(p.cb, p.a)),
     ]
 
     rng = random.Random(f"{seed}:relations:{level}")
-    n_samples = _samples_for_level(samples, level)
-    operand_pairs = []
-    for _ in range(n_samples):
+    found = [(None, 0)] * len(relations)
+    for _ in range(_samples_for_level(samples, level)):
         a = _embed_low(random_element(inner, rng), ambient)
         b = _embed_low(random_element(inner, rng), ambient)
-        operand_pairs.append((a, b))
-
-    reports = []
-    for name, check in relations:
-        pair, checked = _first_failure(operand_pairs, lambda a, b: not check(a, b))
-        witness = None if pair is None else (pair[0].coeffs, pair[1].coeffs)
-        reports.append(_report(name, "standard", level, (witness, checked), seed))
-    return reports
+        pair = types.SimpleNamespace(
+            a=a, b=b, ca=c(a), cb=c(b),
+            ag=m(a, g), ga=m(g, a), bg=m(b, g), gb=m(g, b), ba=m(b, a),
+        )
+        for i, (_, holds) in enumerate(relations):
+            witness, checked = found[i]
+            if witness is None:
+                found[i] = (None if holds(pair) else (a.coeffs, b.coeffs), checked + 1)
+    return [
+        _report(name, "standard", level, f, seed) for (name, _), f in zip(relations, found)
+    ]
 
 
 # ---------------------------------------------------------------------------

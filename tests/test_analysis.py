@@ -1,6 +1,8 @@
 """Tests for tables, law sweeps, zero-divisor search, and benchmarks."""
 
 import itertools
+import random
+import tracemalloc
 import types
 from collections import Counter
 
@@ -14,8 +16,10 @@ from cdtwist.algebra import (
     InvariantViolation,
     basis_element,
     basis_mul,
+    conjugate,
     mul_doubling,
     norm,
+    random_element,
 )
 from cdtwist.analysis import (
     PropertyReport,
@@ -31,7 +35,7 @@ from cdtwist.analysis import (
     verify_twist_laws,
     verify_zero_divisors,
 )
-from cdtwist.twist import twist_recursive
+from cdtwist.twist import degree, ell, phi, twist_recursive
 
 STD = AlgebraSignature.standard
 SPL = AlgebraSignature.split
@@ -105,6 +109,209 @@ class TestBuildTable:
                     assert table.entry(A, B) == basis_mul(A, B, sig)
 
 
+def _pairwise_verify_twist_laws(level):
+    """The twist-law sweep written pair by pair: the reference for
+    ``verify_twist_laws``, which evaluates each law over row blocks of index
+    arrays. It reads ``twist``, ``split_twist`` and ``twist_matrix`` through
+    ``analysis``, so a patched engine reaches both sweeps."""
+    if level < 1:
+        raise ValueError("twist-law sweeps need level >= 1")
+    analysis._check_table_level(level)
+    dim = 1 << level
+    top = level - 1
+    twist, split_twist = analysis.twist, analysis.split_twist
+
+    closed = [bytes([twist(A, B, level) for B in range(dim)]) for A in range(dim)]
+    split_closed = [bytes([split_twist(A, B, level) for B in range(dim)]) for A in range(dim)]
+    recursive = [row.tobytes() for row in analysis.twist_matrix(level)]
+    split_recursive = [row.tobytes() for row in analysis.twist_matrix(level, 1 << top)]
+
+    def all_pairs():
+        return itertools.product(range(dim), repeat=2)
+
+    def distinct_pairs():
+        return ((A, B) for A in range(1, dim) for B in range(1, dim) if A != B)
+
+    def breaks_unified_form(A, B):
+        cut = ell(A, B)
+        expected = (
+            (1 if degree(A) == degree(B) else 0)
+            + ((B >> cut) & 1)
+            + ((A | B) >> cut).bit_count()
+        ) & 1
+        return closed[A][B] != expected
+
+    laws = [
+        ("closed_equals_recursive", "standard", all_pairs(),
+         lambda A, B: closed[A][B] != recursive[A][B]),
+        ("split_closed_equals_recursive", "split", all_pairs(),
+         lambda A, B: split_closed[A][B] != split_recursive[A][B]),
+        ("unit_row_and_column", "standard",
+         [(0, B) for B in range(dim)] + [(A, 0) for A in range(dim)],
+         lambda A, B: closed[A][B] != 0),
+        ("nonzero_diagonal_is_one", "standard", ((A, A) for A in range(1, dim)),
+         lambda A, B: closed[A][A] != 1),
+        ("off_diagonal_antisymmetry", "standard", distinct_pairs(),
+         lambda A, B: (closed[A][B] + closed[B][A]) & 1 != 1),
+        ("equal_degree_cut_bits_differ", "standard",
+         ((A, B) for A, B in distinct_pairs() if degree(A) == degree(B)),
+         lambda A, B: ((A >> ell(A, B)) & 1) + ((B >> ell(A, B)) & 1) != 1),
+        ("cut_bit_or_is_one", "standard", distinct_pairs(),
+         lambda A, B: phi((A >> ell(A, B)) & 1, (B >> ell(A, B)) & 1) != 1),
+        ("unified_upper_form", "standard",
+         ((A, B) for A, B in distinct_pairs() if degree(A) >= degree(B)),
+         breaks_unified_form),
+        ("split_reduction", "split", all_pairs(),
+         lambda A, B: (split_closed[A][B] ^ closed[A][B])
+         != (((A >> top) & (B >> top)) & 1)),
+        ("padding_invariance", "standard", all_pairs(),
+         lambda A, B: closed[A][B] != twist(A, B, level + 2)),
+    ]
+    return [
+        analysis._report(name, kind, level, analysis._first_failure(pairs, violates))
+        for name, kind, pairs, violates in laws
+    ]
+
+
+def _relation_major_verify_relations(level, samples=200, seed=0):
+    """The relation sweep that draws every pair first, then sweeps each
+    relation over them with fresh products: the reference for
+    ``verify_relations``, which shares products within a pair. Products go
+    through ``analysis.mul_doubling``, so a patched oracle reaches both."""
+    inner = STD(level)
+    ambient = STD(level + 1)
+    g = basis_element(ambient, 1 << level)
+    one = basis_element(ambient, 0)
+    m = analysis.mul_doubling
+    c = conjugate
+
+    relations = [
+        ("g*g == -1", lambda a, b: m(g, g) == -one),
+        ("conj(g) == -g", lambda a, b: c(g) == -g),
+        ("a*(g*b) == g*(conj(a)*b)", lambda a, b: m(a, m(g, b)) == m(g, m(c(a), b))),
+        ("(a*g)*b == (a*conj(b))*g", lambda a, b: m(m(a, g), b) == m(m(a, c(b)), g)),
+        (
+            "(g*a)*(b*g) == -conj(a*b)",
+            lambda a, b: m(m(g, a), m(b, g)) == -c(m(a, b)),
+        ),
+        ("a*g == g*conj(a)", lambda a, b: m(a, g) == m(g, c(a))),
+        ("g*a == conj(a)*g", lambda a, b: m(g, a) == m(c(a), g)),
+        ("(g*a)*b == g*(b*a)", lambda a, b: m(m(g, a), b) == m(g, m(b, a))),
+        ("a*(b*g) == (b*a)*g", lambda a, b: m(a, m(b, g)) == m(m(b, a), g)),
+        ("(g*a)*(g*b) == -b*conj(a)", lambda a, b: m(m(g, a), m(g, b)) == -m(b, c(a))),
+        ("(a*g)*(b*g) == -conj(b)*a", lambda a, b: m(m(a, g), m(b, g)) == -m(c(b), a)),
+    ]
+
+    rng = random.Random(f"{seed}:relations:{level}")
+    n_samples = analysis._samples_for_level(samples, level)
+    operand_pairs = []
+    for _ in range(n_samples):
+        a = analysis._embed_low(random_element(inner, rng), ambient)
+        b = analysis._embed_low(random_element(inner, rng), ambient)
+        operand_pairs.append((a, b))
+
+    reports = []
+    for name, check in relations:
+        pair, checked = analysis._first_failure(operand_pairs, lambda a, b: not check(a, b))
+        witness = None if pair is None else (pair[0].coeffs, pair[1].coeffs)
+        reports.append(analysis._report(name, "standard", level, (witness, checked), seed))
+    return reports
+
+
+def _flip_a_residue_class(monkeypatch):
+    right = analysis.twist
+    monkeypatch.setattr(
+        analysis, "twist",
+        lambda A, B, level, *mask: right(A, B, level, *mask) ^ (level < 7 and (A + 2 * B) % 7 == 3),
+    )
+
+
+def _flip_matrix_entry_5_3(monkeypatch):
+    right = analysis.twist_matrix
+
+    def flipped(level, mask=0):
+        table = right(level, mask)
+        if len(table) > 5:
+            table[5, 3] ^= 1
+        return table
+
+    monkeypatch.setattr(analysis, "twist_matrix", flipped)
+
+
+def _corrupt_some_real_parts(monkeypatch):
+    right = analysis.mul_doubling
+
+    def corrupted(x, y):
+        product = right(x, y)
+        if (sum(x.coeffs) - 2 * sum(y.coeffs)) % 5 == 1:
+            return Element(product.signature, (product.coeffs[0] + 1,) + product.coeffs[1:])
+        return product
+
+    monkeypatch.setattr(analysis, "mul_doubling", corrupted)
+
+
+def _twist_law_dicts(sweep):
+    return [r.to_dict() for level in range(1, 9) for r in sweep(level)]
+
+
+def _relation_dicts(sweep):
+    return [
+        r.to_dict()
+        for seed in (0, 1)
+        for level in range(6)
+        for r in sweep(level, samples=200, seed=seed)
+    ]
+
+
+class TestSweepsMatchTheirReferences:
+    # Each injected fault is paired with the sweep that reads the engine it
+    # breaks: the twist laws call no mul_doubling and the relations no twist.
+    @pytest.mark.parametrize("fault", [None, _flip_a_residue_class, _flip_matrix_entry_5_3])
+    def test_twist_laws(self, fault, monkeypatch):
+        if fault:
+            fault(monkeypatch)
+        reports = _twist_law_dicts(verify_twist_laws)
+        assert reports == _twist_law_dicts(_pairwise_verify_twist_laws)
+        failing = sum(not r["holds"] for r in reports)
+        assert failing > 0 if fault else failing == 0
+        # Through level 8 a level is one block. Ragged blocks of a few rows
+        # carry witnesses and counts across block boundaries.
+        monkeypatch.setattr(analysis, "_BLOCK_PAIRS", 48)
+        assert _twist_law_dicts(verify_twist_laws) == reports
+
+    @pytest.mark.parametrize("fault", [None, _corrupt_some_real_parts])
+    def test_relations(self, fault, monkeypatch):
+        if fault:
+            fault(monkeypatch)
+        reports = _relation_dicts(verify_relations)
+        assert reports == _relation_dicts(_relation_major_verify_relations)
+        failing = sum(not r["holds"] for r in reports)
+        assert failing > 0 if fault else failing == 0
+
+    @staticmethod
+    def _traced_peak(sweep, *args):
+        sweep(1)  # module-level one-time allocations
+        tracemalloc.start()
+        try:
+            sweep(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_twist_law_memory_is_bounded_by_a_block(self):
+        # Level 9 is four row blocks. The pairwise reference peaks at 1.33 MiB
+        # there (Python 3.11, numpy 2.4), mostly its four tables; tracing it
+        # takes about 40 s, so its peak is written here.
+        assert self._traced_peak(verify_twist_laws, 9) <= 1.5 * 1.33 * 2**20
+
+    def test_relations_hold_no_list_of_pairs(self):
+        # The reference keeps every drawn pair, so its peak grows with the
+        # sample count; 25 samples keep the traced runs short.
+        assert self._traced_peak(verify_relations, 5, 25) <= self._traced_peak(
+            _relation_major_verify_relations, 5, 25
+        )
+
+
 class TestTwistLaws:
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_all_hold(self, level):
@@ -120,6 +327,32 @@ class TestTwistLaws:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             verify_twist_laws(0)
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_block_arrays_are_the_scalar_definitions(self, level):
+        # degree, ell and phi pin every distinct positive pair's arrays; the
+        # blocks tile the rows in order, each within the block size
+        dim, rows, distinct = 1 << level, [], 0
+        for k in analysis._row_blocks(level):
+            rows += range(dim)[k.rows]
+            shape = (len(range(dim)[k.rows]), dim)
+            assert shape[0] * dim <= analysis._BLOCK_PAIRS
+            assert k.A.dtype == k.B.dtype == np.uint16
+            assert {x.dtype for x in (k.deg_a, k.deg_b, k.cut, k.bit_a, k.bit_b)} == {np.dtype(np.uint8)}
+            flat = [
+                np.broadcast_to(x, shape).ravel().tolist()
+                for x in (k.A, k.B, k.distinct, k.deg_a, k.deg_b, k.cut, k.bit_a, k.bit_b)
+            ]
+            for A, B, is_distinct, deg_a, deg_b, cut, bit_a, bit_b in zip(*flat):
+                if not is_distinct:
+                    assert A == B or not A or not B
+                    continue
+                distinct += 1
+                assert (deg_a, deg_b, cut) == (degree(A), degree(B), ell(A, B))
+                assert (bit_a, bit_b) == ((A >> cut) & 1, (B >> cut) & 1)
+                assert bit_a | bit_b == phi(bit_a, bit_b)
+        assert rows == list(range(dim))
+        assert distinct == (dim - 1) * (dim - 2)
 
     def test_sweep_leaves_the_memo_empty(self):
         twist_recursive.cache_clear()
@@ -333,6 +566,50 @@ class TestRelations:
         # with nothing drawn, every relation would report holds with checked 0
         with pytest.raises(ValueError, match="samples"):
             verify_relations(2, samples=0)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_wrong_products_with_g_on_the_left(self, level, monkeypatch):
+        # Products g*y go wrong for g itself and for every right operand the
+        # relations build from the fifth pair, so g*g fails on the first pair
+        # and every other relation that reads a g*y product on the fifth.
+        samples, bad = 25, 5
+        ambient = STD(level + 1)
+        g = basis_element(ambient, 1 << level)
+        rng = random.Random(f"1:relations:{level}")
+        pairs = [
+            tuple(analysis._embed_low(random_element(STD(level), rng), ambient) for _ in "ab")
+            for _ in range(samples)
+        ]
+        a, b = pairs[bad - 1]
+        marked = {y.coeffs for y in (g, a, b, conjugate(a), mul_doubling(conjugate(a), b),
+                                     mul_doubling(b, a))}
+        right = analysis.mul_doubling
+
+        def wrong(x, y):
+            product = right(x, y)
+            if x == g and y.coeffs in marked:
+                return Element(product.signature, (product.coeffs[0] + 1,) + product.coeffs[1:])
+            return product
+
+        monkeypatch.setattr(analysis, "mul_doubling", wrong)
+        reports = {r.name: r for r in verify_relations(level, samples=samples, seed=1)}
+        first = {"g*g == -1"}
+        fifth = {
+            "a*(g*b) == g*(conj(a)*b)",
+            "(g*a)*(b*g) == -conj(a*b)",
+            "a*g == g*conj(a)",
+            "g*a == conj(a)*g",
+            "(g*a)*b == g*(b*a)",
+            "(g*a)*(g*b) == -b*conj(a)",
+        }
+        assert {name for name, r in reports.items() if not r.holds} == first | fifth
+        for name, r in reports.items():
+            if name in first:
+                assert (r.witness, r.checked) == ((pairs[0][0].coeffs, pairs[0][1].coeffs), 1)
+            elif name in fifth:
+                assert (r.witness, r.checked) == ((a.coeffs, b.coeffs), bad)
+            else:
+                assert (r.witness, r.checked) == (None, samples)
 
 
 class TestEngines:
