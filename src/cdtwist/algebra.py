@@ -365,11 +365,10 @@ def _twist_row(table: list[bytes], A: int, n: int, mask: int) -> bytes:
     table row itself, whose first 2**n entries are this level's. It then
     doubles one level k at a time, by ``twist_matrix``'s blocks: with
     A0 = A mod 2**k and d = [B != 0], row(A0) is [row(A0), col(A0)] and
-    row(A0 + 2**k) is [row(A0) ^ d, col(A0) ^ d ^ [gamma_k = -1]]. Distinct
-    nonzero units anticommute in every kind: col(A0) = row(A0) ^ d off the
-    diagonal, col(0) = 0, and on the diagonal col(A0) keeps row(A0)'s own
-    entry sigma_gamma(A0, A0) = 1 + popcount(A0 & mask), which is not
-    always 1.
+    row(A0 + 2**k) is [row(A0) ^ d, col(A0) ^ d ^ [gamma_k = -1]]. The
+    column comes from the row by ``twist_matrix``'s anticommutation lemma,
+    col(A0) = row(A0) ^ N(A0, .): col(0) = 0, and for A0 != 0 it is
+    row(A0) ^ d with the diagonal entry row(A0)[A0] kept.
     """
     m = A & mask
     k0 = min(n, _TABLE_LEVEL, (m & -m).bit_length() - 1 if m else n)
@@ -704,17 +703,30 @@ def basis_from_generators(bits: int, signature: AlgebraSignature) -> Element:
     return acc
 
 
+# CPython's default limit on the digits of an int read from or written as a
+# string. ``Fraction`` builds 10**e for a token with an exponent e without
+# that limit, so ``1e999999999`` would take hours and ~415 MB to build.
+INT_DIGIT_LIMIT = 4300
+
+
 def parse_coeffs(text: str) -> tuple:
     """Parse the comma-separated exact-rational element format.
 
     Example: ``0,1,-3/2,0``. Integer entries stay ints; fractional ones
-    become Fractions.
+    become Fractions. A token with an exponent e, of either sign, whose
+    10**|e| has more than ``INT_DIGIT_LIMIT`` digits is refused before any
+    integer is built.
     """
     parts = [p.strip() for p in text.split(",")]
     out = []
     for p in parts:
         if not p:
             raise ValueError(f"empty coefficient in {text!r}")
+        exponent = p.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) >= INT_DIGIT_LIMIT):
+            raise ValueError(
+                f"bad coefficient {p!r}: 10**exponent has more than {INT_DIGIT_LIMIT} digits"
+            )
         try:
             f = Fraction(p)
         except (ValueError, ZeroDivisionError) as exc:

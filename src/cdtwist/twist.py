@@ -16,7 +16,9 @@ exponent. This module computes that exponent along two independent routes:
 * ``twist_recursive`` peels the highest relevant bit and applies the
   doubling recursion, seeded on indices {0, 1} by the facts that the unit
   is neutral and the first imaginary generator squares to -1.
-  ``twist_matrix`` builds whole tables by this recursion in block form.
+  ``twist_matrix`` builds whole tables by this recursion in block form,
+  each transposed block read off the anticommutation lemma it states:
+  twist(A, B) + twist(B, A) = [A != 0][B != 0][A != B] in every kind.
 
 The two routes must agree everywhere; the test suite enforces this
 exhaustively for all levels up to 8. The twist of any other
@@ -288,39 +290,33 @@ def twist_matrix(level: int, mask: int = 0) -> np.ndarray:
     A & B has bit k, and [gamma_k = -1] = 1 + [gamma_k = +1] adds exactly
     bit k of the mask to that popcount.
 
-    The transpose R_k = T_k^t is carried through the same recursion rather
-    than gathered column by column:
+    Anticommutation lemma: distinct non-real basis units anticommute in
+    every kind, that is, T_k + T_k^t = N_k with N[A, B] = [A != 0][B != 0]
+    [A != B]. By induction on k from T_0 = N_0 = [[0]]: adding the
+    transpose of each block of T_{k+1} to that block gives, with A0 and B0
+    the low parts, N_k[A0, B0] top left, [A0 != 0] top right, [B0 != 0]
+    bottom left and N_k[A0, B0] + [A0 != 0] + [B0 != 0] = [A0 != B0] bottom
+    right, which are the four blocks of N_{k+1}.
 
-        R_0 = [[0]],  R_{k+1} = [[R, R + d^t], [T, T + d^t + [gamma_k = -1]]]  (mod 2),
-
-    where d^t adds d[A] down every column. Proof: transpose the blocks of
-    T_{k+1}; the off-diagonal blocks swap, each block is transposed, and the
-    row vector d becomes the column vector d^t. So every block of both
-    matrices is a row-block copy or a broadcast XOR. R is needed only up
-    to level - 1, so the scratch is a quarter of the output. Cost is
-    O(4**n) byte operations; levels above ``MAX_TABLE_LEVEL`` are refused
-    before anything is allocated.
+    So T^t = T + N needs no transpose: it is the bottom-left block T + d
+    with row 0 zero and the diagonal T's own. Each level's three new blocks
+    are then row-block copies or in-place XORs into the output, and nothing
+    else of table size is allocated. Cost is O(4**n) byte operations;
+    levels above ``MAX_TABLE_LEVEL`` are refused before anything is
+    allocated.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     _check_table_level(level)
     _check_mask(level, mask)
     out = np.zeros((1 << level, 1 << level), dtype=np.uint8)
-    half = 1 << max(level - 1, 0)
-    R = np.zeros((half, half), dtype=np.uint8)
-    d = np.ones(half, dtype=np.uint8)
+    d = np.ones(1 << max(level - 1, 0), dtype=np.uint8)
     d[0] = 0
     for k in range(level):
         h = 1 << k
-        T, Rk = out[:h, :h], R[:h, :h]
-        dk = d[:h]
-        # the bottom-right blocks' term, d + [gamma_k = -1]
-        dc = dk ^ np.uint8(1 - (mask >> k & 1))
-        out[:h, h : 2 * h] = Rk
-        np.bitwise_xor(T, dk, out=out[h : 2 * h, :h])
-        np.bitwise_xor(Rk, dc, out=out[h : 2 * h, h : 2 * h])
-        if 2 * h <= half:
-            np.bitwise_xor(Rk, dk[:, None], out=R[:h, h : 2 * h])
-            R[h : 2 * h, :h] = T
-            np.bitwise_xor(T, dc[:, None], out=R[h : 2 * h, h : 2 * h])
+        T, top, bottom = out[:h, :h], out[:h, h : 2 * h], out[h : 2 * h, :h]
+        np.bitwise_xor(T, d[:h], out=bottom)
+        top[1:] = bottom[1:]  # T^t = T + N; row 0 stays 0
+        np.fill_diagonal(top, T.diagonal())
+        np.bitwise_xor(top, d[:h] ^ np.uint8(1 - (mask >> k & 1)), out=out[h : 2 * h, h : 2 * h])
     return out

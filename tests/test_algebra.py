@@ -1319,7 +1319,10 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_element("1,0", STD(2))
 
-    @pytest.mark.parametrize("bad", ["1,,2", "a,b", "1/0", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        ["1,,2", "a,b", "1/0", "", "1e999999999", "-1e-999999999", "0,-2.5E+4300", "1e43_00"],
+    )
     def test_bad_tokens(self, bad):
         with pytest.raises(ValueError):
             parse_coeffs(bad)

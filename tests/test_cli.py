@@ -84,6 +84,13 @@ class TestMul:
         assert code == 1
         assert "bad coefficient" in err
 
+    @pytest.mark.parametrize("token", ["1e999999999", "1e-999999999", "1E4300"])
+    def test_exponent_blow_up_is_refused(self, capsys, token):
+        # Fraction would build 10**999999999, hours of CPU, before any check
+        code, out, err = run(capsys, "mul", "-n", "1", f"{token},0", "1,0")
+        assert code == 1 and out == ""
+        assert repr(token) in err
+
     def test_length_mismatch(self, capsys):
         code, _, err = run(capsys, "mul", "-n", "2", "0,1", "0,1,0,0")
         assert code == 1

@@ -1,5 +1,6 @@
 """Tests for the sign (twist) functions, closed form vs recursion."""
 
+import hashlib
 import importlib
 import itertools
 import random
@@ -225,7 +226,7 @@ def _split_mask(level, split):
 
 def _transposing_twist_matrix(level, mask=0):
     """The block builder that gathers each T^t block from ``T.T``: the reference
-    for ``twist_matrix``, which carries the transpose instead."""
+    for ``twist_matrix``, which builds it from the anticommutation lemma instead."""
     out = np.zeros((1 << level, 1 << level), dtype=np.uint8)
     for k in range(level):
         h = 1 << k
@@ -297,8 +298,30 @@ class TestTwistMatrix:
         mask = _reference_masks(level)[kind]
         assert np.array_equal(twist_matrix(level, mask), _transposing_twist_matrix(level, mask))
 
-    def test_scratch_is_a_quarter_of_the_output(self):
-        # the output (4**12 bytes) and the carried transpose (4**11) are all it holds
+    # sha256 of twist_matrix(12, mask).tobytes(), recorded from the builder
+    # that carried the transpose: kinds neither standard nor split, at the top level
+    @pytest.mark.parametrize(
+        "mask, digest",
+        [
+            (0xA5D, "c1176bf61d444c3983f0135bac3620878aba2211a9302bcb61946cbde27c890b"),
+            (0xFFF, "16c6ca9c1cf56889150206f9e78ceb9f424730b366e065d970d0ea05321c39ea"),
+            (0x001, "e69c2bd834310674e4c75adda27fdbc6a3e0d71e8ea455d3da9c6b08b676d0be"),
+        ],
+    )
+    def test_top_level_general_kinds_are_golden(self, mask, digest):
+        assert hashlib.sha256(twist_matrix(12, mask).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_anticommutation_lemma(self, level):
+        # T + T^t = N, N[A, B] = [A != 0][B != 0][A != B], for every mask
+        index = np.arange(1 << level)
+        N = (index[:, None] != 0) & (index[None, :] != 0) & (index[:, None] != index[None, :])
+        for mask in range(1 << level):
+            T = twist_matrix(level, mask)
+            assert np.array_equal(T ^ T.T, N.astype(np.uint8)), mask
+
+    def test_allocates_only_its_output(self):
+        # the output (4**12 bytes) and a few small vectors are all it holds
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -310,7 +333,7 @@ class TestTwistMatrix:
             if not tracing:
                 tracemalloc.stop()
         assert matrix.nbytes == 4**12
-        assert peak <= 1.3 * 4**12, peak / 4**12
+        assert peak <= 4**12 + 128 * 1024, peak - 4**12
 
     @pytest.mark.parametrize("level", [13, 20, 62])
     def test_levels_above_the_table_limit_are_refused_before_allocating(self, level, monkeypatch):
