@@ -62,6 +62,7 @@ import numbers
 import operator
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -736,7 +737,9 @@ def parse_coeffs(text: str) -> tuple:
 
 
 def format_coeffs(coeffs: Sequence) -> str:
-    return ",".join(str(c) for c in coeffs)
+    # str() stops at the int-string limit parse_coeffs relies on; Decimal writes any int
+    parts = ((Decimal(c.numerator), Decimal(c.denominator)) for c in coeffs)
+    return ",".join(f"{p}/{q}" if q != 1 else str(p) for p, q in parts)
 
 
 def parse_element(text: str, signature: AlgebraSignature) -> Element:

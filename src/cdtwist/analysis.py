@@ -74,9 +74,11 @@ __all__ = [
 ]
 
 # ``benchmark_engines`` holds about 150 bytes per query (index pairs, arrays,
-# every engine's answers) beside about 75 MiB of cold recursion memo; a
-# level-24 run at this bound peaked at 295 MiB RSS.
+# every engine's answers) beside at most 73 MiB of cold recursion memo, for
+# the first RECURSIVE_QUERY_CAP queries; a level-24 run at this bound peaked
+# at 295 MiB RSS.
 MAX_BENCH_QUERIES = 1 << 20
+RECURSIVE_QUERY_CAP = 1 << 15
 
 # Exhaustive basis triples stay desk-scale through level 5; beyond that
 # only seeded random sampling.
@@ -730,18 +732,17 @@ def benchmark_engines(
     queries: int = 1 << 18,
     seed: int = 0,
     reps: int = 5,
-    recursive_query_cap: int = 1 << 15,
 ) -> list[BenchRow]:
     """Time the sign engines on uniform random index pairs.
 
     Engines: the scalar closed form, its vectorized batch variant, the
-    memoized recursion (query count capped; each repetition recurses into a
-    fresh memo local to it, so the timing is cold and the process-wide
-    ``twist_recursive`` memo is left alone), and table lookup
-    (levels within ``MAX_TABLE_LEVEL``; build time excluded). Wall-clock
-    medians over ``reps`` repetitions. Each timed call returns one exponent
-    per query; at every level, every engine's answers must equal the closed
-    form's, checked outside the timed call, and disagreement raises.
+    memoized recursion (the first ``RECURSIVE_QUERY_CAP`` queries; each
+    repetition peels its chains into a fresh memo local to it, so the timing
+    is cold and the process-wide ``twist_recursive`` memo is left alone), and
+    table lookup (levels within ``MAX_TABLE_LEVEL``; build time excluded).
+    Wall-clock medians over ``reps`` repetitions. Each timed call returns one
+    exponent per query; at every level, every engine's answers must equal the
+    closed form's, checked outside the timed call, and disagreement raises.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -759,14 +760,14 @@ def benchmark_engines(
         ]
         a_arr = np.array([p[0] for p in pairs], dtype=np.int64)
         b_arr = np.array([p[1] for p in pairs], dtype=np.int64)
-        rec_pairs = pairs[:recursive_query_cap]
+        rec_pairs = pairs[:RECURSIVE_QUERY_CAP]
 
         def cold_recursion():
             @functools.lru_cache(maxsize=twist_recursive.cache_info().maxsize)
-            def cold(a, b):
-                return _peel(a, b, cold)
+            def cold(a, b, mask):
+                return _peel(a, b, mask, cold)
 
-            return [cold(a, b) for a, b in rec_pairs]
+            return [cold(a, b, 0) for a, b in rec_pairs]
 
         # engine -> (its queries, a timed call returning one exponent per query)
         engines = {

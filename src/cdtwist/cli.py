@@ -243,6 +243,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.level is not None and args.n_max is not None:
+        raise ValueError("-n/--level and --n-max are mutually exclusive")
     kind = AlgebraSignature.split if args.split else AlgebraSignature.standard
     runs = []  # (call, takes an algebra, levels): every top level is checked first
     for name, (on_algebra, lowest, top, check_level, call) in SUITES.items():

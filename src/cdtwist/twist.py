@@ -13,12 +13,12 @@ exponent. This module computes that exponent along two independent routes:
   (lowest set bit) of A, B and A ^ B fixes a cutoff position, above which
   an OR-sum of digit pairs accumulates, with a small case split on how the
   degrees compare.
-* ``twist_recursive`` peels the highest relevant bit and applies the
-  doubling recursion, seeded on indices {0, 1} by the facts that the unit
-  is neutral and the first imaginary generator squares to -1.
-  ``twist_matrix`` builds whole tables by this recursion in block form,
-  each transposed block read off the anticommutation lemma it states:
-  twist(A, B) + twist(B, A) = [A != 0][B != 0][A != B] in every kind.
+* ``twist_recursive`` peels the highest set bit of A | B and applies the
+  doubling recursion, which keeps one product of the low parts per step,
+  down to twist(0, 0) = 0. ``twist_matrix`` builds whole tables by the
+  same recursion in block form, each transposed block read off the
+  anticommutation lemma it states: twist(A, B) + twist(B, A) =
+  [A != 0][B != 0][A != B] in every kind.
 
 The two routes must agree everywhere; the test suite enforces this
 exhaustively for all levels up to 8. The twist of any other
@@ -28,20 +28,19 @@ of an imaginary new generator),
 
     twist_gamma(A, B) = twist(A, B) + popcount(A & B & mask)  (mod 2).
 
-``twist``, ``twist_batch`` and ``twist_matrix`` take that mask (0, the
-standard kind, by default); ``twist_matrix`` carries the proof. The split
-kind is the mask of the top bit alone: ``split_twist`` and
-``split_twist_batch`` are that case, and ``split_twist_recursive`` checks
-it by the split recursion.
+``twist``, ``twist_recursive``, ``twist_batch`` and ``twist_matrix`` take
+that mask (0, the standard kind, by default); ``twist_matrix`` carries the
+proof. The split kind is the mask of the top bit alone: ``split_twist``,
+``split_twist_recursive`` and ``split_twist_batch`` are that case.
 
 Twist values are always exponents in {0, 1}, never +-1 signs; conversion
 to a sign happens in the element-arithmetic layer (`cdtwist.algebra`).
 
 All functions here are pure. ``twist_recursive`` keeps a bounded, lock
 protected memo (``functools.lru_cache``), so concurrent callers always
-observe consistent values. Besides ``split_twist_recursive`` nothing in
-the package reads it: the twist-law sweep compares against ``twist_matrix``,
-and ``benchmark_engines`` takes only its size, for a cold memo of its own.
+observe consistent values. Besides ``split_twist_recursive`` nothing in the
+package calls it: the twist-law sweep compares against ``twist_matrix``, and
+``benchmark_engines`` wraps ``_peel`` in a cold memo of the same size.
 """
 
 from __future__ import annotations
@@ -149,40 +148,37 @@ def twist(A: int, B: int, level: int, mask: int = 0) -> int:
     return (a_cut + digit_sum + gamma) & 1
 
 
-def _peel(A: int, B: int, low, n: int | None = None, square: int = 1) -> int:
-    """One doubling step: the twist of (A, B) from ``low``, a twist of the low parts.
+def _peel(A: int, B: int, mask: int, low) -> int:
+    """One doubling step (``twist_matrix``'s block rule), from ``low`` on the low parts.
 
-    Peels bit n (by default the highest set bit of either index) and reduces
-    the pair (A0 + a_n 2**n, B0 + b_n 2**n) to twists of the low parts:
+    With n the top bit of A | B, A = A0 + a_n 2**n and B = B0 + b_n 2**n:
 
-        t(A0,B0)*(1+b_n) + t(B0,A0)*b_n + t(B0,B0)*a_n + square*a_n*b_n  (mod 2)
+        t(A, B) = (t(B0, A0) if b_n else t(A0, B0)) + a_n [B0 != 0] + a_n b_n [gamma_n = -1]
 
-    where ``square`` is the exponent of the peeled generator's square: 1 when
-    it squares to -1, 0 for the hyperbolic unit of the split kind. Without
-    ``n``, pairs in {0,1}**2 are the seed: 0 except t(1,1) = 1.
+    mod 2, where [B0 != 0] is the exponent of the sign of conj(e_B0) and
+    [gamma_n = -1] is 1 minus bit n of ``mask``. It ends at t(0, 0) = 0.
     """
-    if n is None:
-        if A < 2 and B < 2:
-            return A & B  # only the (1,1) pair hits the g0**2 = -1 sign
-        n = max(A.bit_length(), B.bit_length()) - 1
-    top = 1 << n
-    a_n, b_n = (A >> n) & 1, (B >> n) & 1
-    A0, B0 = A & ~top, B & ~top
-    return (
-        low(A0, B0) * (1 + b_n) + low(B0, A0) * b_n + low(B0, B0) * a_n + square * a_n * b_n
-    ) & 1
+    if not A | B:
+        return 0
+    n = (A | B).bit_length() - 1
+    a_n, b_n = A >> n, B >> n
+    A0, B0 = A ^ (a_n << n), B ^ (b_n << n)
+    low_part = low(B0, A0, mask) if b_n else low(A0, B0, mask)
+    return (low_part + a_n * ((B0 != 0) + b_n * (1 - (mask >> n & 1)))) & 1
 
 
 @lru_cache(maxsize=1 << 18)
-def twist_recursive(A: int, B: int) -> int:
-    """Twist exponent by doubling recursion (``_peel``); agrees with ``twist``.
+def twist_recursive(A: int, B: int, mask: int = 0) -> int:
+    """Twist exponent by the doubling recursion (``_peel``); agrees with ``twist``.
 
-    The memo is bounded; exponential unfolding would otherwise make this
-    route unusable beyond small bit lengths.
+    Bit k of ``mask`` is set where gamma_k = +1, as for ``twist``. Each step
+    peels one bit with one recursive call, so a pair costs a chain of
+    popcount(A | B) + 1 calls, at most n + 1 at level n; the bounded memo
+    keeps them for later pairs.
     """
-    if A < 0 or B < 0:
-        raise ValueError(f"indices must be nonnegative, got ({A}, {B})")
-    return _peel(A, B, twist_recursive)
+    if A < 0 or B < 0 or mask < 0:
+        raise ValueError(f"indices and mask must be nonnegative, got ({A}, {B}, {mask})")
+    return _peel(A, B, mask, twist_recursive)
 
 
 def _split_mask(level: int) -> int:
@@ -197,14 +193,9 @@ def split_twist(A: int, B: int, level: int) -> int:
 
 
 def split_twist_recursive(A: int, B: int, level: int) -> int:
-    """Split twist exponent by one split-recursion step at the top bit.
-
-    The split structure lives only in the final doubling, so the top bit
-    is peeled with the split rule (``square=0``: the hyperbolic unit squares
-    to +1) and the low parts are evaluated with the standard recursion.
-    """
+    """``twist_recursive`` of the split algebra: the checked top-bit mask."""
     _check_pair(A, B, level, _split_mask(level))
-    return _peel(A, B, twist_recursive, level - 1, square=0)
+    return twist_recursive(A, B, _split_mask(level))
 
 
 def twist_batch(A, B, level: int, mask: int = 0) -> np.ndarray:

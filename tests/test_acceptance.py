@@ -202,7 +202,7 @@ def test_c8_spot_value_adjudication():
         assert product == -basis_element(sig, 3)
 
 
-def test_c9_performance_sanity():
+def test_c9_performance_sanity(monkeypatch):
     with _gate("C9 closed-form speed and scaling"):
         # 2**20 random queries at level 24 through the vectorized closed
         # form, median of 5 runs, must land under 2 seconds.
@@ -221,13 +221,8 @@ def test_c9_performance_sanity():
             assert out[i] == twist(int(a[i]), int(b[i]), 24) == twist_recursive(int(a[i]), int(b[i]))
 
         # per-query cost may grow at most linearly in the level over 8..24
-        rows = benchmark_engines(
-            [8, 12, 16, 20, 24],
-            queries=1 << 16,
-            seed=5,
-            reps=3,
-            recursive_query_cap=1 << 12,
-        )
+        monkeypatch.setattr("cdtwist.analysis.RECURSIVE_QUERY_CAP", 1 << 12)
+        rows = benchmark_engines([8, 12, 16, 20, 24], queries=1 << 16, seed=5, reps=3)
         for row in rows:
             print(
                 f"  bench n={row.level} engine={row.engine} "

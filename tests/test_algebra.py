@@ -1312,6 +1312,18 @@ class TestTextFormat:
         assert coeffs == (0, 1, Fraction(-3, 2), 0)
         assert format_coeffs(coeffs) == "0,1,-3/2,0"
 
+    def test_output_past_the_int_string_limit(self):
+        # str() refuses ints of more than 4300 digits; the format writes them in full
+        big = 10**6000
+        assert format_coeffs((big, -big)) == "1" + "0" * 6000 + ",-1" + "0" * 6000
+        assert format_coeffs((Fraction(-1, big), Fraction(big + 1, 7))) == (
+            "-1/1" + "0" * 6000 + ",1" + "0" * 5999 + "1/7"
+        )
+
+    def test_repr_past_the_int_string_limit(self):
+        x = Element(STD(1), (0, -(10**6000)))
+        assert repr(x) == f"Element({STD(1)}, [0,-1{'0' * 6000}])"
+
     def test_integers_stay_ints(self):
         assert all(isinstance(c, int) for c in parse_coeffs("4,-2,6/3"))
 

@@ -91,6 +91,13 @@ class TestMul:
         assert code == 1 and out == ""
         assert repr(token) in err
 
+    def test_product_past_the_int_string_limit_is_printed(self, capsys):
+        # admissible operands whose product has 6001 digits, beyond str()'s 4300
+        code, out, err = run(capsys, "mul", "-n", "1", "1e3000,0", "1e3000,0")
+        assert (code, out, err) == (0, "1" + "0" * 6000 + ",0\n", "")
+        code, out, _ = run(capsys, "mul", "-n", "1", "0,1e-3000", "0,-1e-3000")
+        assert (code, out) == (0, "1/1" + "0" * 6000 + ",0\n")
+
     def test_length_mismatch(self, capsys):
         code, _, err = run(capsys, "mul", "-n", "2", "0,1", "0,1,0,0")
         assert code == 1
@@ -304,6 +311,18 @@ class TestVerify:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_level_and_n_max_conflict(self, capsys, monkeypatch):
+        # one level or a sweep up to a cap, never both; refused before any suite runs
+        for name in ("verify_twist_laws", "verify_algebra_laws"):
+            monkeypatch.setattr(analysis, name, lambda *a: pytest.fail("ran a suite"))
+        for argv in (
+            ("--suite", "twist-laws", "-n", "2", "--n-max", "3"),
+            ("--n-max", "3", "--level", "2", "--split"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 1 and out == ""
+            assert "-n/--level" in err and "--n-max" in err
 
     def test_gamma_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--gamma", "+1,-1")

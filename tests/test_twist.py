@@ -117,6 +117,40 @@ class TestTwistRecursive:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             twist_recursive(-1, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            twist_recursive(3, 2, -1)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_kind_matches_closed_form_and_table(self, n):
+        dim = 1 << n
+        for mask in range(dim):
+            table = twist_matrix(n, mask)
+            for A in range(dim):
+                row = [twist_recursive(A, B, mask) for B in range(dim)]
+                assert row == [twist(A, B, n, mask) for B in range(dim)], (n, mask, A)
+                assert row == table[A].tolist(), (n, mask, A)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_split_is_the_top_bit_mask(self, n):
+        dim = 1 << n
+        for A in range(dim):
+            for B in range(dim):
+                assert split_twist_recursive(A, B, n) == twist_recursive(A, B, 1 << (n - 1))
+
+    def test_cold_pair_is_one_chain(self):
+        # each step peels one bit of A | B with one recursive call: at most
+        # 62 peeled pairs and (0, 0), all of them memo misses
+        rng = random.Random("chain")
+        for _ in range(20):
+            A, B, mask = rng.getrandbits(62), rng.getrandbits(62), rng.getrandbits(62)
+            for call in (lambda: twist_recursive(A, B), lambda: twist_recursive(A, B, mask)):
+                twist_recursive.cache_clear()
+                call()
+                misses = twist_recursive.cache_info().misses
+                assert misses == (A | B).bit_count() + 1 <= 63, (A, B, misses)
+        twist_recursive.cache_clear()
+        twist_recursive((1 << 62) - 1, (1 << 62) - 1)
+        assert twist_recursive.cache_info().misses == 63
 
 
 def test_closed_matches_recursion_small_levels():
