@@ -111,14 +111,22 @@ class AlgebraSignature:
     layer needs of it: both engines work for every vector. The vector is
     the one field; ``level``, ``dimension`` and ``mask`` are derived from
     it on first read and then kept, since the engines read them on every
-    product.
+    product. The constructor stores any iterable of integers, numpy ones
+    included, as a tuple of Python ints, so equal vectors give equal,
+    hashable signatures; a bool, a float, any other non-integer and any
+    integer but +-1 is refused.
     """
 
     gammas: tuple[int, ...]
 
     def __post_init__(self):
-        if any(g not in (-1, 1) for g in self.gammas):
-            raise ValueError(f"doubling parameters must be +-1, got {self.gammas}")
+        gammas = tuple(self.gammas)
+        if not all(
+            isinstance(g, numbers.Integral) and not isinstance(g, bool) and g in (-1, 1)
+            for g in gammas
+        ):
+            raise ValueError(f"doubling parameters must be +-1, got {gammas}")
+        object.__setattr__(self, "gammas", tuple(map(int, gammas)))
 
     @classmethod
     def standard(cls, level: int) -> "AlgebraSignature":
@@ -134,7 +142,7 @@ class AlgebraSignature:
 
     @classmethod
     def from_gammas(cls, gammas: Sequence[int]) -> "AlgebraSignature":
-        return cls(tuple(gammas))
+        return cls(gammas)
 
     @cached_property
     def level(self) -> int:

@@ -30,7 +30,6 @@ from .algebra import (
     AlgebraSignature,
     Element,
     InvariantViolation,
-    SignedIndex,
     basis_element,
     basis_from_generators,
     conjugate,
@@ -143,26 +142,23 @@ class ZeroDivisorPair:
 class MultiplicationTable:
     """Dense table of basis products for one signature.
 
-    ``signs[A, B]`` is +-1 and the product index is always A ^ B, so the
-    index array is never materialized.
+    e_A e_B = signs[A, B] e_{A ^ B}, with ``signs`` an int8 matrix of +-1;
+    the index A ^ B is never materialized.
     """
 
     signature: AlgebraSignature
     signs: np.ndarray = field(repr=False)
-
-    def entry(self, A: int, B: int) -> SignedIndex:
-        return SignedIndex(int(self.signs[A, B]), A ^ B)
 
 
 def build_table(signature: AlgebraSignature) -> MultiplicationTable:
     """Materialize the full multiplication table of any signature.
 
     Built by block doubling (``twist_matrix``), with a seeded sample checked
-    against the batch closed form of the same kind (``twist_batch`` with the mask).
-    Levels above ``MAX_TABLE_LEVEL`` (a 16 MiB sign matrix) are refused.
+    against the batch closed form of the same kind (``twist_batch`` with the
+    mask). ``twist_matrix`` refuses levels above ``MAX_TABLE_LEVEL`` (a
+    16 MiB sign matrix) before it allocates anything.
     """
     n, mask = signature.level, signature.mask
-    _check_table_level(n)
     exponents = twist_matrix(n, mask)
     rng = random.Random(n)
     A, B = np.array([rng.getrandbits(n) for _ in range(1 << 13)]).reshape(2, -1)  # int64
@@ -620,19 +616,18 @@ def find_zero_divisors(
 ) -> list[ZeroDivisorPair]:
     """Brute-force search over (e_A + s e_B)(e_C + t e_D), s,t in {-1,+1}.
 
-    Enumerates candidates in a fixed order (A < B, C < D), evaluating each
-    through the doubling-derived parity table, until the budget of
-    evaluated products is exhausted. Candidates with A^B != C^D cannot
-    cancel (their four terms land on distinct basis indices), so they are
-    never generated and consume no budget. Every hit is re-verified with a
-    dense doubling multiplication before being returned.
+    Enumerates candidates in a fixed order (A < B, C < D) until the budget
+    of evaluated candidates is exhausted. Only D = A^B^C is generated: any
+    other candidate's four terms land on distinct basis indices, so it
+    cannot cancel and consumes no budget. With sigma the doubling-derived
+    parity table, e_A e_B = (-1)**sigma(A, B) e_{A^B}, a candidate vanishes iff
+
+        sigma(A, C) + sigma(B, D) = sigma(A, D) + sigma(B, C) = [s = t]  (mod 2).
+
+    Every hit is re-verified with the doubling engine before being returned.
     """
     t = _oracle_parity_table(signature)
     dim = signature.dimension
-    # product = sign(A,C) e_{A^C} + t sign(A,D) e_{A^D}
-    #         + s sign(B,C) e_{B^C} + s t sign(B,D) e_{B^D}
-    # cancellation needs A^C == B^D, i.e. D = C^A^B, which also pairs A^D
-    # with B^C.
     candidates = (
         (A, B, C, C ^ A ^ B, s, tt)
         for A in range(dim)
@@ -644,11 +639,8 @@ def find_zero_divisors(
     )
     found = []
     for A, B, C, D, s, tt in itertools.islice(candidates, max(search_budget, 0)):
-        term_ac = -1 if t[A][C] else 1
-        term_ad = tt * (-1 if t[A][D] else 1)
-        term_bc = s * (-1 if t[B][C] else 1)
-        term_bd = s * tt * (-1 if t[B][D] else 1)
-        if term_ac + term_bd or term_ad + term_bc:
+        # e_A e_C = -s tt e_B e_D and tt e_A e_D = -s e_B e_C, as parities of t
+        if not t[A][C] ^ t[B][D] == t[A][D] ^ t[B][C] == (s == tt):
             continue
         x = _two_term(signature, A, B, s)
         y = _two_term(signature, C, D, tt)
@@ -744,6 +736,7 @@ def benchmark_engines(
     exponent per query; at every level, every engine's answers must equal the
     closed form's, checked outside the timed call, and disagreement raises.
     """
+    levels = list(levels)  # checked, then timed: an iterator would be spent
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if not 1 <= queries <= MAX_BENCH_QUERIES:

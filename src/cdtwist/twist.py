@@ -174,10 +174,15 @@ def twist_recursive(A: int, B: int, mask: int = 0) -> int:
     Bit k of ``mask`` is set where gamma_k = +1, as for ``twist``. Each step
     peels one bit with one recursive call, so a pair costs a chain of
     popcount(A | B) + 1 calls, at most n + 1 at level n; the bounded memo
-    keeps them for later pairs.
+    keeps them for later pairs. Indices and mask must lie below
+    2**MAX_LEVEL, as for ``twist``, which keeps every chain short.
     """
-    if A < 0 or B < 0 or mask < 0:
-        raise ValueError(f"indices and mask must be nonnegative, got ({A}, {B}, {mask})")
+    # a negative value makes the OR negative, so one shift tests both ends
+    if (A | B | mask) >> MAX_LEVEL:
+        raise ValueError(
+            f"indices and mask must be nonnegative and below 2**{MAX_LEVEL}, "
+            f"got ({A}, {B}, {mask})"
+        )
     return _peel(A, B, mask, twist_recursive)
 
 

@@ -34,6 +34,7 @@ from cdtwist.algebra import (
     unit,
     zero,
 )
+from cdtwist.analysis import find_zero_divisors, verify_algebra_laws
 
 # The package exports the function `twist`, which shadows the module name.
 twist_module = importlib.import_module("cdtwist.twist")
@@ -89,6 +90,39 @@ class TestSignature:
         assert {"level", "mask", "dimension"} <= vars(sig).keys()
         with pytest.raises(AttributeError):
             sig.gammas = (1,)
+
+    def test_numpy_integer_entries_become_ints(self):
+        # kept as np.int64, the parameters would make the oracle's sums wrap at 2**63
+        for sig in (
+            AlgebraSignature(tuple(np.array([-1, -1]))),
+            AlgebraSignature.from_gammas(np.array([-1, -1])),
+        ):
+            assert sig == STD(2) and hash(sig) == hash(STD(2))
+            assert [type(g) for g in sig.gammas] == [int, int]
+            x = Element(sig, (0, 3 << 31, 0, 0))
+            y = Element(sig, (0, 5 << 31, 0, 0))
+            expected = (-69_175_290_276_410_818_560, 0, 0, 0)
+            assert mul_doubling(x, y).coeffs == mul_twist(x, y).coeffs == expected
+            assert [type(c) for c in mul_doubling(x, y).coeffs] == [int] * 4
+
+    @pytest.mark.parametrize(
+        "gammas",
+        [(1.0, -1), (-1, 1.0), (True, -1), (False,), (np.float64(1),), (np.bool_(True),), ("1",), (0,)],
+    )
+    def test_bool_float_and_non_integer_entries_are_refused(self, gammas):
+        with pytest.raises(ValueError, match=r"must be \+-1"):
+            AlgebraSignature(gammas)
+        with pytest.raises(ValueError, match=r"must be \+-1"):
+            AlgebraSignature.from_gammas(gammas)
+
+    def test_a_list_is_stored_as_the_same_tuple(self):
+        sig = AlgebraSignature([-1, -1])
+        assert sig.gammas == (-1, -1) and isinstance(sig.gammas, tuple)
+        assert sig == AlgebraSignature.from_gammas([-1, -1]) == STD(2)
+        assert hash(sig) == hash(STD(2))
+        # both sweeps key a cache on the vector, which a list could not be
+        assert find_zero_divisors(AlgebraSignature([-1, -1])) == []
+        assert all(r.ok for r in verify_algebra_laws(AlgebraSignature([1, -1]), samples=2))
 
     def test_level_zero_is_standard(self):
         assert STD(0).kind == "standard"

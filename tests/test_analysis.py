@@ -44,23 +44,16 @@ SPL = AlgebraSignature.split
 class TestBuildTable:
     def test_complex_numbers(self):
         table = build_table(STD(1))
-        assert table.entry(0, 0) == (1, 0)
-        assert table.entry(0, 1) == (1, 1)
-        assert table.entry(1, 0) == (1, 1)
-        assert table.entry(1, 1) == (-1, 0)
+        assert table.signs.dtype == np.int8
+        assert table.signs.tolist() == [[1, 1], [1, -1]]
 
     def test_quaternion_diagonal(self):
         table = build_table(STD(2))
-        assert [table.entry(A, A) for A in range(4)] == [
-            (1, 0),
-            (-1, 0),
-            (-1, 0),
-            (-1, 0),
-        ]
+        assert table.signs.diagonal().tolist() == [1, -1, -1, -1]
 
     def test_split_complex(self):
         table = build_table(SPL(1))
-        assert table.entry(1, 1) == (1, 0)
+        assert table.signs[1, 1] == 1
 
     @pytest.mark.parametrize("sig", [STD(1), STD(3), STD(4), SPL(2), SPL(4)])
     def test_invariants(self, sig):
@@ -81,7 +74,7 @@ class TestBuildTable:
         table = build_table(sig)
         for A in range(sig.dimension):
             for B in range(sig.dimension):
-                assert table.entry(A, B) == basis_mul(A, B, sig)
+                assert basis_mul(A, B, sig) == (table.signs[A, B], A ^ B)
 
     def test_cap_refusal(self):
         with pytest.raises(ValueError, match="cap"):
@@ -105,8 +98,8 @@ class TestBuildTable:
             oracle = analysis._oracle_parity_table(sig)
             for A in range(sig.dimension):
                 for B in range(sig.dimension):
-                    assert table.entry(A, B) == ((-1) ** oracle[A][B], A ^ B)
-                    assert table.entry(A, B) == basis_mul(A, B, sig)
+                    assert table.signs[A, B] == (-1) ** oracle[A][B]
+                    assert basis_mul(A, B, sig) == (table.signs[A, B], A ^ B)
 
 
 def _pairwise_verify_twist_laws(level):
@@ -401,10 +394,20 @@ def test_levels_above_the_table_cap_are_refused_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="cap is 12"):
         verify_twist_laws(13)
     with pytest.raises(ValueError, match="cap is 12"):
-        build_table(STD(13))
-    with pytest.raises(ValueError, match="cap is 12"):
         find_zero_divisors(STD(13))
     assert analysis._oracle_tables == {}
+    # build_table leaves the refusal to twist_matrix, which makes it before
+    # allocating any of the 64 MiB a level-13 table would take
+    monkeypatch.undo()
+    monkeypatch.setattr(analysis, "twist_batch", boom)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap is 12"):
+            build_table(STD(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 class TestAlgebraLaws:
@@ -651,6 +654,60 @@ def _assert_two_term_hits_recheck(pairs, monkeypatch) -> None:
         assert mul_doubling(pair.x, pair.y).is_zero()
 
 
+def _zero_divisors_by_terms(signature, search_budget):
+    """The two-term search written with the product's four +-1 terms: the
+    reference for ``find_zero_divisors``, which tests one parity equation.
+    Same candidates, order and budget; returns each hit's coefficients."""
+    t = analysis._oracle_parity_table(signature)
+    dim = signature.dimension
+    candidates = (
+        (A, B, C, C ^ A ^ B, s, tt)
+        for A in range(dim)
+        for B in range(A + 1, dim)
+        for C in range(dim)
+        if C < C ^ A ^ B
+        for s in (1, -1)
+        for tt in (1, -1)
+    )
+    hits = []
+    for A, B, C, D, s, tt in itertools.islice(candidates, max(search_budget, 0)):
+        term_ac = -1 if t[A][C] else 1
+        term_ad = tt * (-1 if t[A][D] else 1)
+        term_bc = s * (-1 if t[B][C] else 1)
+        term_bd = s * tt * (-1 if t[B][D] else 1)
+        if term_ac + term_bd or term_ad + term_bc:
+            continue
+        x, y = [0] * dim, [0] * dim
+        x[A], x[B], y[C], y[D] = 1, s, 1, tt
+        hits.append((tuple(x), tuple(y)))
+    return hits
+
+
+# standard levels 0-5, split levels 1-5, and every gamma vector at levels
+# 2-3, each signature once
+_ZERO_DIVISOR_SIGNATURES = list(
+    dict.fromkeys(
+        [STD(n) for n in range(6)]
+        + [SPL(n) for n in range(1, 6)]
+        + [
+            AlgebraSignature(gammas)
+            for n in (2, 3)
+            for gammas in itertools.product((-1, 1), repeat=n)
+        ]
+    )
+)
+
+
+class TestZeroDivisorsMatchTheFourTermReference:
+    @pytest.mark.parametrize("sig", _ZERO_DIVISOR_SIGNATURES, ids=str)
+    def test_same_pairs_in_the_same_order(self, sig):
+        for budget in (0, 1, 7, 1000, 1 << 30):
+            pairs = find_zero_divisors(sig, budget)
+            found = [(pair.x.coeffs, pair.y.coeffs) for pair in pairs]
+            assert found == _zero_divisors_by_terms(sig, budget), (sig, budget)
+            assert all(pair.product.is_zero() for pair in pairs)
+
+
 class TestZeroDivisors:
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_none_below_sedenions(self, level):
@@ -752,6 +809,10 @@ class TestBenchmark:
     def test_no_levels(self):
         with pytest.raises(ValueError, match="level"):
             benchmark_engines([])
+
+    def test_levels_may_be_a_generator(self):
+        rows = benchmark_engines((n for n in (3, 4)), queries=4, reps=1)
+        assert [r.level for r in rows] == [3] * 4 + [4] * 4
 
     def test_queries_above_the_bound_are_refused_before_any_draw(self, monkeypatch):
         # about 150 bytes per query: 10**8 queries would need gigabytes

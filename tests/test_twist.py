@@ -120,6 +120,21 @@ class TestTwistRecursive:
         with pytest.raises(ValueError, match="nonnegative"):
             twist_recursive(3, 2, -1)
 
+    def test_indices_and_masks_at_or_above_the_level_bound_are_refused(self):
+        # as for ``twist``, which refuses levels above 62; a 333-bit pair's
+        # chain would reach the interpreter's recursion limit
+        top = (1 << 62) - 1
+        for args in [
+            ((1 << 333) - 1, (1 << 333) - 1),
+            (1 << 62, 0),
+            (0, 1 << 62),
+            (0, 0, 1 << 62),
+            (top, top, 1 << 62),
+        ]:
+            with pytest.raises(ValueError, match=r"below 2\*\*62"):
+                twist_recursive(*args)
+        assert twist_recursive(top, top, top) == twist(top, top, 62, top)
+
     @pytest.mark.parametrize("n", range(7))
     def test_every_kind_matches_closed_form_and_table(self, n):
         dim = 1 << n
